@@ -38,7 +38,7 @@ use simgrid::node::TaskDemand;
 
 /// The number of distinct buffer families an arena recycles (used to size
 /// the capacity-footprint snapshot taken at checkout).
-const FAMILIES: usize = 17;
+const FAMILIES: usize = 18;
 
 /// Reusable scratch allocations for one engine run at a time.
 ///
@@ -62,6 +62,7 @@ pub struct EngineArena {
     scales: Vec<(TaskRef, f64)>,
     map_posts: Vec<(MapAttemptId, f64)>,
     fetch_posts: Vec<FetchPost>,
+    shares: Vec<f64>,
     sources: Vec<(NodeId, f64)>,
     snapshots: Vec<TrackerSnapshot>,
     /// Capacity footprint of the buffers currently checked out, recorded
@@ -91,6 +92,7 @@ pub(crate) struct Scratch {
     pub(crate) scales: Vec<(TaskRef, f64)>,
     pub(crate) map_posts: Vec<(MapAttemptId, f64)>,
     pub(crate) fetch_posts: Vec<FetchPost>,
+    pub(crate) shares: Vec<f64>,
     pub(crate) sources: Vec<(NodeId, f64)>,
     pub(crate) snapshots: Vec<TrackerSnapshot>,
 }
@@ -114,6 +116,7 @@ impl Scratch {
             scales: Vec::new(),
             map_posts: Vec::new(),
             fetch_posts: Vec::new(),
+            shares: vec![0.0; workers],
             sources: Vec::new(),
             snapshots: Vec::new(),
         }
@@ -140,6 +143,7 @@ impl Scratch {
             self.scales.capacity(),
             self.map_posts.capacity(),
             self.fetch_posts.capacity(),
+            self.shares.capacity(),
             self.sources.capacity(),
             self.snapshots.capacity(),
         ]
@@ -203,6 +207,7 @@ impl EngineArena {
             + self.scales.capacity() * size_of::<(TaskRef, f64)>()
             + self.map_posts.capacity() * size_of::<(MapAttemptId, f64)>()
             + self.fetch_posts.capacity() * size_of::<FetchPost>()
+            + self.shares.capacity() * size_of::<f64>()
             + self.sources.capacity() * size_of::<(NodeId, f64)>()
             + self.snapshots.capacity() * size_of::<TrackerSnapshot>()
     }
@@ -217,6 +222,7 @@ impl EngineArena {
         grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
         grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
         grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
+        grew += u64::from(reset_filled(&mut self.shares, workers, 0.0));
         grew += u64::from(self.node_tasks.capacity() < workers);
         for tasks in &mut self.node_tasks {
             tasks.clear();
@@ -250,6 +256,7 @@ impl EngineArena {
             scales: std::mem::take(&mut self.scales),
             map_posts: std::mem::take(&mut self.map_posts),
             fetch_posts: std::mem::take(&mut self.fetch_posts),
+            shares: std::mem::take(&mut self.shares),
             sources: std::mem::take(&mut self.sources),
             snapshots: std::mem::take(&mut self.snapshots),
         };
@@ -280,6 +287,7 @@ impl EngineArena {
         self.scales = scratch.scales;
         self.map_posts = scratch.map_posts;
         self.fetch_posts = scratch.fetch_posts;
+        self.shares = scratch.shares;
         self.sources = scratch.sources;
         self.snapshots = scratch.snapshots;
         self.cells += 1;

@@ -108,8 +108,10 @@ pub fn fingerprint(report: &RunReport) -> u64 {
 /// O(nodes²) fails an audit instead of quietly stretching wall time.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseBudget {
-    /// Mean per-step cost of the allocate phase (node contention scaling
-    /// plus fabric water-filling): `allocate_nodes + network_allocate`.
+    /// Mean per-step cost of the allocate phase: `allocate_nodes` (node
+    /// contention scaling) plus `network_allocate`, which covers the flow
+    /// build (remote map reads and every shuffling reduce's fetch-source
+    /// selection) *and* the fabric water-filling over those flows.
     pub allocate_us: f64,
     /// Mean per-step cost of the event-horizon search (`event_horizon`;
     /// adaptive mode only — fixed-tick runs record no horizon spans and

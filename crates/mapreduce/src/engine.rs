@@ -32,6 +32,7 @@ use crate::job::{JobId, JobProfile, JobSpec};
 use crate::policy::{PolicyContext, SlotPolicy, TrackerSnapshot};
 use crate::report::{JobReport, RunReport};
 use crate::scheduler::{FifoScheduler, JobInProgress};
+use crate::shuffle;
 use crate::slots::SlotSet;
 use crate::stats::{ClusterStats, TrackerMeters};
 use crate::task::{MapAttemptId, MapTask, MapTaskId, ReducePhase, ReduceTask, ReduceTaskId};
@@ -671,7 +672,10 @@ struct Sim<'p> {
     scales_scratch: Vec<(TaskRef, f64)>,
     map_post_scratch: Vec<(MapAttemptId, f64)>,
     fetch_post_scratch: Vec<FetchPost>,
-    /// Per-reduce fetch-source list rebuilt by every flow build.
+    /// Per-node shares of the job whose reduces the flow build is visiting
+    /// (refilled once per job per step), and the per-reduce fetch-source
+    /// list selected against them (at most `shuffle_fetchers` long).
+    share_scratch: Vec<f64>,
     source_scratch: Vec<(NodeId, f64)>,
     /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
     snapshot_scratch: Vec<TrackerSnapshot>,
@@ -832,6 +836,7 @@ impl<'p> Sim<'p> {
             scales_scratch: scratch.scales,
             map_post_scratch: scratch.map_posts,
             fetch_post_scratch: scratch.fetch_posts,
+            share_scratch: scratch.shares,
             source_scratch: scratch.sources,
             snapshot_scratch: scratch.snapshots,
             replica_postings,
@@ -863,6 +868,7 @@ impl<'p> Sim<'p> {
             scales: std::mem::take(&mut self.scales_scratch),
             map_posts: std::mem::take(&mut self.map_post_scratch),
             fetch_posts: std::mem::take(&mut self.fetch_post_scratch),
+            shares: std::mem::take(&mut self.share_scratch),
             sources: std::mem::take(&mut self.source_scratch),
             snapshots: std::mem::take(&mut self.snapshot_scratch),
         }
@@ -1329,13 +1335,23 @@ impl<'p> Sim<'p> {
         let mut flows = std::mem::take(&mut self.flow_scratch);
         let mut purposes = std::mem::take(&mut self.purpose_scratch);
         let mut sources = std::mem::take(&mut self.source_scratch);
+        let mut shares = std::mem::take(&mut self.share_scratch);
         flows.clear();
         purposes.clear();
-        self.build_flows_into(fixed_dt, &scales, &mut flows, &mut purposes, &mut sources);
+        self.build_flows_into(
+            fixed_dt,
+            &scales,
+            &mut flows,
+            &mut purposes,
+            &mut shares,
+            &mut sources,
+        );
         let mut grants = std::mem::take(&mut self.rate_scratch);
         let workers = self.trackers.len();
         self.fabric
             .allocate_into(&flows, workers, &mut self.fabric_scratch, &mut grants);
+        // one span for the flow build and the water-filling together:
+        // bench tooling folds spans by name, so it stays unsplit
         self.telem
             .record_span("step", "network_allocate", t0, sim_ms);
 
@@ -1371,6 +1387,7 @@ impl<'p> Sim<'p> {
         self.flow_scratch = flows;
         self.purpose_scratch = purposes;
         self.source_scratch = sources;
+        self.share_scratch = shares;
         self.rate_scratch = grants;
         StepRates {
             scales,
@@ -1600,12 +1617,15 @@ impl<'p> Sim<'p> {
     /// Construct this step's network flows: remote map reads and shuffle
     /// fetches (the latter capped by each reduce's merge throughput).
     /// Appends into caller-owned (recycled) lists; both arrive empty.
+    /// `shares` and `sources` are recycled working slabs: the per-source
+    /// shares of the job being visited and one reduce's selected sources.
     fn build_flows_into(
         &self,
         fixed_dt: Option<f64>,
         scales: &[(TaskRef, f64)],
         flows: &mut Vec<Flow>,
         purposes: &mut Vec<(FlowId, FlowPurpose)>,
+        shares: &mut Vec<f64>,
         sources: &mut Vec<(NodeId, f64)>,
     ) {
         let mut next = 0u64;
@@ -1648,12 +1668,19 @@ impl<'p> Sim<'p> {
             purposes.push((fid, FlowPurpose::MapRead(*id)));
         }
 
+        // `running_reduces` iterates grouped by job, so each job's shares
+        // are computed once, by its first shuffling reduce
+        let mut shares_of: Option<JobId> = None;
         for (rid, r) in &self.running_reduces {
             if r.phase != ReducePhase::Shuffle || !self.node_up[r.node.0] {
                 continue;
             }
             let profile = &self.profiles[rid.job.0];
             let job = &self.jobs[rid.job.0];
+            if shares_of != Some(rid.job) {
+                job.shuffle.shares_into(shares);
+                shares_of = Some(rid.job);
+            }
             let scale = scale_of(scales, TaskRef::Reduce(*rid));
             // merge-throughput budget for this tick, shared across sources;
             // T_r2 > T_r1: the cap rises once the barrier frees the sources
@@ -1672,8 +1699,12 @@ impl<'p> Sim<'p> {
                 };
                 budget -= local_rate.min(budget);
             }
-            job.shuffle
-                .fetch_sources_into(r, profile.shuffle_fetchers as usize, sources);
+            shuffle::fetch_sources_into(
+                shares,
+                &r.fetched_by_src,
+                profile.shuffle_fetchers as usize,
+                sources,
+            );
             sources.retain(|&(src, _)| src != r.node && self.node_up[src.0]);
             // adaptive mode splits the budget proportionally to each
             // source's remaining data, so every granted source depletes at
@@ -2802,6 +2833,7 @@ impl<'p> Sim<'p> {
             scales_scratch: scratch.scales,
             map_post_scratch: scratch.map_posts,
             fetch_post_scratch: scratch.fetch_posts,
+            share_scratch: scratch.shares,
             source_scratch: scratch.sources,
             snapshot_scratch: scratch.snapshots,
             replica_postings,

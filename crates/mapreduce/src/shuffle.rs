@@ -101,30 +101,55 @@ impl ShuffleState {
         self.maps_all_done && self.remaining_total(reduce) <= 1e-6
     }
 
-    /// Source nodes with data still fetchable by `reduce`, largest backlog
-    /// first, truncated to `max_sources` (the parallel-copies limit).
-    pub fn fetch_sources(&self, reduce: &ReduceTask, max_sources: usize) -> Vec<(NodeId, f64)> {
-        let mut srcs = Vec::new();
-        self.fetch_sources_into(reduce, max_sources, &mut srcs);
-        srcs
+    /// Write each source's per-reduce share, `avail / R` MB, into `shares`
+    /// (indexed by `NodeId.0`). A reduce's remaining backlog from `s` is
+    /// `(shares[s] - fetched_by_src[s]).max(0.0)`, the exact float
+    /// [`ShuffleState::remaining_from`] computes; the flow build fills the
+    /// slab once per job per step and every shuffling reduce of the job
+    /// selects against it via [`fetch_sources_into`].
+    pub fn shares_into(&self, shares: &mut Vec<f64>) {
+        let r = self.num_reduces as f64;
+        shares.clear();
+        shares.extend(self.avail_by_src.iter().map(|&avail| avail / r));
     }
+}
 
-    /// [`ShuffleState::fetch_sources`] writing into a caller-owned
-    /// (recycled) buffer, so the per-step flow build allocates nothing.
-    pub fn fetch_sources_into(
-        &self,
-        reduce: &ReduceTask,
-        max_sources: usize,
-        out: &mut Vec<(NodeId, f64)>,
-    ) {
-        out.clear();
-        out.extend((0..self.avail_by_src.len()).filter_map(|s| {
-            let rem = self.remaining_from(reduce, NodeId(s));
-            (rem > 1e-9).then_some((NodeId(s), rem))
-        }));
-        // largest-first; tie-break on node id for determinism
-        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
-        out.truncate(max_sources);
+/// Source nodes with data still fetchable by a reduce that has fetched
+/// `fetched[s]` MB of its `shares[s]` MB share from each source (see
+/// [`ShuffleState::shares_into`]): largest backlog first, ties broken by
+/// ascending node id, at most `max_sources` (the parallel-copies limit).
+///
+/// One pass keeps a sorted buffer of the best `max_sources` candidates, so
+/// the cost grows with the source count times the (small) fetcher count,
+/// not with a full sort of every source; `out` never holds more than
+/// `max_sources` entries, whatever the cluster width.
+pub fn fetch_sources_into(
+    shares: &[f64],
+    fetched: &[f64],
+    max_sources: usize,
+    out: &mut Vec<(NodeId, f64)>,
+) {
+    debug_assert_eq!(shares.len(), fetched.len());
+    out.clear();
+    if max_sources == 0 {
+        return;
+    }
+    out.reserve_exact(max_sources.min(shares.len()));
+    for (s, (&share, &got)) in shares.iter().zip(fetched).enumerate() {
+        let rem = (share - got).max(0.0);
+        if rem <= 1e-9 {
+            continue;
+        }
+        if out.len() == max_sources {
+            // candidates arrive in ascending node id, so an equal backlog
+            // loses the tie-break to the one already kept
+            if rem <= out[max_sources - 1].1 {
+                continue;
+            }
+            out.pop();
+        }
+        let at = out.partition_point(|kept| kept.1 >= rem);
+        out.insert(at, (NodeId(s), rem));
     }
 }
 
@@ -146,6 +171,34 @@ mod tests {
             1.0,
             SimTime::ZERO,
         )
+    }
+
+    /// Shares then selection, the way the flow build calls them.
+    fn select(sh: &ShuffleState, r: &ReduceTask, max_sources: usize) -> Vec<(NodeId, f64)> {
+        let mut shares = Vec::new();
+        sh.shares_into(&mut shares);
+        let mut out = Vec::new();
+        fetch_sources_into(&shares, &r.fetched_by_src, max_sources, &mut out);
+        out
+    }
+
+    /// The retired sort-then-truncate selection, kept verbatim as the
+    /// differential reference: the bounded top-k must reproduce its
+    /// sources, their order and every float bit for bit.
+    fn reference_fetch_sources_into(
+        sh: &ShuffleState,
+        reduce: &ReduceTask,
+        max_sources: usize,
+        out: &mut Vec<(NodeId, f64)>,
+    ) {
+        out.clear();
+        out.extend((0..sh.avail_by_src.len()).filter_map(|s| {
+            let rem = sh.remaining_from(reduce, NodeId(s));
+            (rem > 1e-9).then_some((NodeId(s), rem))
+        }));
+        // largest-first; tie-break on node id for determinism
+        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
+        out.truncate(max_sources);
     }
 
     #[test]
@@ -200,7 +253,7 @@ mod tests {
         sh.on_map_complete(NodeId(2), 50.0);
         sh.on_map_complete(NodeId(4), 30.0);
         let r = reduce(1, 5);
-        let srcs = sh.fetch_sources(&r, 2);
+        let srcs = select(&sh, &r, 2);
         assert_eq!(srcs.len(), 2);
         assert_eq!(srcs[0].0, NodeId(2));
         assert_eq!(srcs[1].0, NodeId(4));
@@ -212,7 +265,7 @@ mod tests {
         sh.on_map_complete(NodeId(2), 10.0);
         sh.on_map_complete(NodeId(0), 10.0);
         let r = reduce(1, 3);
-        let srcs = sh.fetch_sources(&r, 3);
+        let srcs = select(&sh, &r, 3);
         assert_eq!(srcs[0].0, NodeId(0));
         assert_eq!(srcs[1].0, NodeId(2));
     }
@@ -256,6 +309,64 @@ mod tests {
                 "fetched {} vs share {}", r.fetched_mb, share);
             sh.set_maps_all_done();
             proptest::prop_assert!(sh.shuffle_complete(&r));
+        }
+    }
+
+    proptest::proptest! {
+        /// Differential pinning: the bounded top-k reproduces the retired
+        /// sort-then-truncate selection bit for bit. Each source draws a
+        /// shape — empty, tied round figures, a sub-1e-9 or exactly-zero
+        /// remainder, an over-fetched share, a random partial fetch, or a
+        /// crashed source whose partially fetched share was zeroed — and
+        /// every fetcher limit from 0 past the source count is checked
+        /// against one output buffer reused dirty across calls.
+        #[test]
+        fn prop_top_k_matches_sort_reference(
+            cells in proptest::collection::vec((0u8..8, 0u8..4, 0.0f64..200.0), 1..48),
+            num_reduces in 1usize..6,
+            own in 0usize..48,
+        ) {
+            let workers = cells.len();
+            let mut sh = ShuffleState::new(workers, num_reduces);
+            let mut r = reduce(own % workers, workers);
+            let mut lost = Vec::new();
+            for (s, &(shape, tier, x)) in cells.iter().enumerate() {
+                let tied = f64::from(tier) * 30.0;
+                let output = match shape {
+                    0 => 0.0,
+                    1 | 6 => tied,
+                    _ => x,
+                };
+                sh.on_map_complete(NodeId(s), output);
+                let share = output / num_reduces as f64;
+                r.fetched_by_src[s] = match shape {
+                    2 => share - 5e-10,
+                    3 => share,
+                    4 => share + x,
+                    5 => share * f64::from(tier) / 4.0,
+                    6 => {
+                        lost.push(NodeId(s));
+                        share / 2.0
+                    }
+                    _ => 0.0,
+                };
+            }
+            for node in lost {
+                sh.on_node_lost(node);
+            }
+            let mut shares = vec![f64::NAN; 3];
+            sh.shares_into(&mut shares);
+            let mut got = vec![(NodeId(usize::MAX), -1.0); 7];
+            let mut want = Vec::new();
+            for k in [0, 1, 2, 5, workers, workers + 3, usize::MAX] {
+                fetch_sources_into(&shares, &r.fetched_by_src, k, &mut got);
+                reference_fetch_sources_into(&sh, &r, k, &mut want);
+                proptest::prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    proptest::prop_assert_eq!(g.0, w.0);
+                    proptest::prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
+                }
+            }
         }
     }
 

@@ -130,12 +130,18 @@ fn step_loop_telemetry_calls_do_not_allocate() {
     );
 
     // --- dense allocate phase: once a warm-up round has sized the
-    // epoch-stamped fabric slabs and the positional rate buffer, the whole
-    // allocate → usage-sample path must stay allocation-free — at the
-    // paper's 16-node testbed and at 256 nodes alike, since slab sizing is
-    // the only thing cluster scale changes ---
+    // epoch-stamped fabric slabs, the positional rate buffer and the
+    // shuffle share slab, the whole flow build → allocate → usage-sample
+    // path must stay allocation-free — at the paper's 16-node testbed and
+    // at 256 nodes alike, since slab sizing is the only thing cluster
+    // scale changes; the selected-source buffer is bounded by the fetcher
+    // count, never by the cluster width ---
+    use mapreduce::shuffle::{fetch_sources_into, ShuffleState};
+    use mapreduce::task::{ReduceTask, ReduceTaskId};
+    use mapreduce::JobId;
     use simgrid::cluster::NodeId;
     use simgrid::network::{Fabric, FabricConfig, FabricScratch, Flow, FlowId};
+    use simgrid::time::SimTime;
 
     for nodes in [16usize, 256] {
         let fabric = Fabric::new(FabricConfig::paper_gbe());
@@ -166,10 +172,38 @@ fn step_loop_telemetry_calls_do_not_allocate() {
         let mut nic_in = vec![0.0; nodes];
         let mut nic_out = vec![0.0; nodes];
         let occ = vec![2usize; nodes];
+        // the flow build's shuffle-source selection: one job's per-node
+        // shares, then a bounded top-k per shuffling reduce
+        let reduces = 8;
+        let fetchers = 5;
+        let mut shuffle = ShuffleState::new(nodes, reduces);
+        for s in 0..nodes {
+            shuffle.on_map_complete(NodeId(s), (s % 7) as f64 * 64.0);
+        }
+        let fetching: Vec<ReduceTask> = (0..reduces)
+            .map(|p| {
+                let id = ReduceTaskId {
+                    job: JobId(0),
+                    partition: p,
+                };
+                let mut r = ReduceTask::new(id, NodeId(p), nodes, 1.0, SimTime::ZERO);
+                r.record_fetch(NodeId((p + 1) % nodes), 4.0);
+                r
+            })
+            .collect();
+        let mut shares = vec![0.0; nodes];
+        let mut sources = Vec::new();
         // warm-up: sizes the slabs once
         fabric.allocate_into(&flows, nodes, &mut scratch, &mut rates);
+        shuffle.shares_into(&mut shares);
+        fetch_sources_into(&shares, &fetching[0].fetched_by_src, fetchers, &mut sources);
         let before = allocs();
         for _ in 0..1_000 {
+            shuffle.shares_into(&mut shares);
+            for r in &fetching {
+                fetch_sources_into(&shares, &r.fetched_by_src, fetchers, &mut sources);
+                assert_eq!(sources.len(), fetchers);
+            }
             fabric.allocate_into(&flows, nodes, &mut scratch, &mut rates);
             for ((fin, fout), &r) in nic_in.iter_mut().zip(nic_out.iter_mut()).zip(&rates) {
                 *fout = r;
@@ -181,6 +215,11 @@ fn step_loop_telemetry_calls_do_not_allocate() {
             allocs() - before,
             0,
             "warm dense allocate phase must be allocation-free at {nodes} nodes"
+        );
+        assert!(
+            sources.capacity() <= fetchers,
+            "source buffer grew to {} at {nodes} nodes: it must stay bounded by the fetcher count",
+            sources.capacity()
         );
     }
 
