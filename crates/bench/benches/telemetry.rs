@@ -8,7 +8,7 @@
 //! without `--features profiling`; the bench labels itself accordingly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapreduce::Engine;
+use mapreduce::{Engine, EngineArena};
 use smr_bench::{bench_config, mini_job};
 use std::hint::black_box;
 use workloads::Puma;
@@ -62,7 +62,12 @@ fn engine_run_overhead(c: &mut Criterion) {
             let telem = telemetry::Telemetry::enabled();
             black_box(
                 Engine::new(cfg.clone())
-                    .run_with(vec![mini_job(Puma::Grep)], &mut p, &telem)
+                    .run_in(
+                        vec![mini_job(Puma::Grep)],
+                        &mut p,
+                        &telem,
+                        &mut EngineArena::new(),
+                    )
                     .expect("run"),
             )
         });

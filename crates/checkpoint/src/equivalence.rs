@@ -20,7 +20,7 @@
 
 use mapreduce::auditor;
 use mapreduce::policy::SlotPolicy;
-use mapreduce::{Engine, EngineConfig, JobSpec};
+use mapreduce::{Drive, Engine, EngineArena, EngineConfig, JobSpec, Telemetry};
 use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SimTime};
 
@@ -111,12 +111,20 @@ fn prove(
     make_policy: &mut dyn FnMut() -> Box<dyn SlotPolicy>,
     byte_level: bool,
 ) -> Result<EquivalenceProof, SimError> {
+    let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
     let mut straight_policy = make_policy();
-    let (straight, capsules, straight_trace) = Engine::new(cfg.clone()).run_with_snapshots_traced(
-        jobs.to_vec(),
+    let straight = Engine::drive(
+        Engine::new(cfg.clone()).prepare(jobs.to_vec())?,
         straight_policy.as_mut(),
-        every,
+        Drive {
+            snapshot_every: Some(every),
+            trace_hashes: true,
+            ..Drive::to_completion(&telem, &mut arena)
+        },
     )?;
+    let capsules = straight.snapshots;
+    let straight_trace = straight.hash_trace;
+    let straight = straight.report.expect("an unbounded drive finishes");
     // t=0 is a multiple of every period, so a completed run always
     // captures at least one capsule — but guard rather than index: a
     // refactor that breaks that invariant must not turn into a panic
@@ -130,7 +138,16 @@ fn prove(
     let mid = capsules[capsules.len() / 2].clone();
     let resumed_from = mid.at();
     let mut resumed_policy = make_policy();
-    let (resumed, resumed_trace) = Engine::resume_traced(mid, resumed_policy.as_mut())?;
+    let resumed = Engine::drive(
+        mid,
+        resumed_policy.as_mut(),
+        Drive {
+            trace_hashes: true,
+            ..Drive::to_completion(&telem, &mut arena)
+        },
+    )?;
+    let resumed_trace = resumed.hash_trace;
+    let resumed = resumed.report.expect("an unbounded drive finishes");
     let (steps_compared, first_divergence) = compare_traces(&straight_trace, &resumed_trace);
     let byte_identical = byte_level.then(|| {
         let straight_bytes = serde_json::to_string(&straight).expect("report serialises");

@@ -398,7 +398,7 @@ pub fn trace_digest(trace: &[HashPoint]) -> u64 {
 mod tests {
     use super::*;
     use mapreduce::policy::StaticSlotPolicy;
-    use mapreduce::{Engine, EngineConfig, JobProfile, JobSpec};
+    use mapreduce::{Drive, Engine, EngineArena, EngineConfig, JobProfile, JobSpec, Telemetry};
     use simgrid::time::SimDuration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -416,9 +416,14 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        Engine::new(cfg)
-            .run_with_snapshots(vec![job], &mut StaticSlotPolicy, SimDuration::from_secs(10))
-            .expect("runs")
+        let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
+        let drive = Drive {
+            snapshot_every: Some(SimDuration::from_secs(10)),
+            ..Drive::to_completion(&telem, &mut arena)
+        };
+        let state = Engine::new(cfg).prepare(vec![job]).expect("boots");
+        let run = Engine::drive(state, &mut StaticSlotPolicy, drive).expect("runs");
+        (run.report.expect("finished"), run.snapshots)
     }
 
     #[test]
@@ -495,7 +500,13 @@ mod tests {
             let dir = tmp_dir(&format!("resume-{format}"));
             let paths = write_stream_as(&dir, &states, format).expect("write");
             let snap = load(&paths[paths.len() / 2]).expect("load");
-            let resumed = Engine::resume(snap.state, &mut StaticSlotPolicy).expect("resume");
+            let resumed = Engine::resume_in(
+                snap.state,
+                &mut StaticSlotPolicy,
+                &Telemetry::disabled(),
+                &mut EngineArena::new(),
+            )
+            .expect("resume");
             assert_eq!(
                 serde_json::to_string(&straight).unwrap(),
                 serde_json::to_string(&resumed).unwrap(),

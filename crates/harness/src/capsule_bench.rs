@@ -11,6 +11,7 @@ use crate::dashboard;
 use crate::runner;
 use crate::scale::Scale;
 use checkpoint::{CapsuleFormat, SimSnapshot};
+use mapreduce::EngineArena;
 use serde::{Deserialize, Serialize};
 use simgrid::time::SimDuration;
 use std::time::Instant;
@@ -57,9 +58,16 @@ fn run_target(target: &str, scale: Scale) -> CapsuleBench {
         dashboard::representative(target, scale).expect("representative run");
     cfg.record_events = false;
     let seed = cfg.seed;
-    let (_, states) =
-        runner::run_once_with_snapshots(&cfg, jobs, &system, seed, SimDuration::from_secs(30))
-            .expect("representative run completes");
+    let start = runner::prepare_warm(&cfg, jobs, seed).expect("representative run boots");
+    let states = runner::drive_audited(
+        start,
+        &system,
+        Some(SimDuration::from_secs(30)),
+        false,
+        &mut EngineArena::new(),
+    )
+    .expect("representative run completes")
+    .snapshots;
     let snaps: Vec<SimSnapshot> = states.into_iter().map(SimSnapshot::new).collect();
 
     let encode_all = |format: CapsuleFormat| -> (Vec<Vec<u8>>, f64) {

@@ -21,7 +21,7 @@ use crate::dashboard;
 use crate::runner::{self, System};
 use crate::scale::Scale;
 use checkpoint::{CapsuleFormat, SimSnapshot};
-use mapreduce::auditor;
+use mapreduce::{auditor, EngineArena};
 use simgrid::time::SimDuration;
 use std::path::{Path, PathBuf};
 
@@ -74,34 +74,20 @@ pub fn fingerprint_target(
     // fingerprints cover counters; event recording only bloats capsules
     cfg.record_events = false;
     let seed = cfg.seed;
-    let (report, trace) = match (via, hash_trace) {
-        (Via::Straight, false) => (
-            runner::run_once(&cfg, jobs, &system, seed).map_err(|e| e.to_string())?,
-            None,
-        ),
-        (Via::Straight, true) => {
-            // snapshot capture is observational (proven by the resume
-            // equivalence gate), so tracing through the snapshotting run
-            // keeps this line identical to the plain straight line
-            let (report, _, trace) = runner::run_once_with_snapshots_traced(
-                &cfg,
-                jobs,
-                &system,
-                seed,
-                fingerprint_every(),
-            )
-            .map_err(|e| e.to_string())?;
-            (report, Some(trace))
+    let start = runner::prepare_warm(&cfg, jobs, seed).map_err(|e| e.to_string())?;
+    let drive = |state, every, trace_hashes| {
+        runner::drive_audited(state, &system, every, trace_hashes, &mut EngineArena::new())
+            .map_err(|e| e.to_string())
+    };
+    let (report, trace) = match via {
+        Via::Straight => {
+            let mut straight = drive(start, None, hash_trace)?;
+            let trace = std::mem::take(&mut straight.hash_trace);
+            (straight.into_report(), hash_trace.then_some(trace))
         }
-        (Via::Resume, _) => {
-            let (_, capsules, straight_trace) = runner::run_once_with_snapshots_traced(
-                &cfg,
-                jobs,
-                &system,
-                seed,
-                fingerprint_every(),
-            )
-            .map_err(|e| e.to_string())?;
+        Via::Resume => {
+            let straight = drive(start, Some(fingerprint_every()), true)?;
+            let (capsules, straight_trace) = (straight.snapshots, straight.hash_trace);
             if capsules.is_empty() {
                 return Err(format!(
                     "{target}: straight run captured no capsules to resume from \
@@ -114,11 +100,10 @@ pub fn fingerprint_target(
                 checkpoint::write_hash_trace(dir, &straight_trace).map_err(|e| e.to_string())?;
             }
             let mid = capsules[capsules.len() / 2].clone();
+            let resumed = drive(mid, None, hash_trace)?;
             if hash_trace {
-                let (report, resumed_trace) =
-                    runner::resume_once_traced(mid, &system).map_err(|e| e.to_string())?;
                 let (compared, mismatch) =
-                    checkpoint::compare_traces(&straight_trace, &resumed_trace);
+                    checkpoint::compare_traces(&straight_trace, &resumed.hash_trace);
                 if let Some(m) = mismatch {
                     return Err(format!(
                         "{target}: resumed run diverged from the straight run at step {} \
@@ -133,15 +118,10 @@ pub fn fingerprint_target(
                          resumed at the end of the run"
                     ));
                 }
-                // verified step-for-step, so the straight trace digest is
-                // the resumed run's digest too: both lines cmp equal
-                (report, Some(straight_trace))
-            } else {
-                (
-                    runner::resume_once(mid, &system).map_err(|e| e.to_string())?,
-                    None,
-                )
             }
+            // verified step-for-step, so the straight trace digest is the
+            // resumed run's digest too: both lines cmp equal
+            (resumed.into_report(), hash_trace.then_some(straight_trace))
         }
     };
     let mut out = format!(
@@ -186,9 +166,12 @@ pub fn record_target(
         dashboard::representative(target, scale).map_err(|e| e.to_string())?;
     cfg.record_events = false;
     let seed = cfg.seed;
-    let (report, capsules, trace) =
-        runner::run_once_with_snapshots_traced(&cfg, jobs, &system, seed, every)
+    let start = runner::prepare_warm(&cfg, jobs, seed).map_err(|e| e.to_string())?;
+    let recorded =
+        runner::drive_audited(start, &system, Some(every), true, &mut EngineArena::new())
             .map_err(|e| e.to_string())?;
+    let (capsules, trace) = (recorded.snapshots, recorded.hash_trace);
+    let report = recorded.report.expect("an unbounded drive finishes");
     let paths = checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
     checkpoint::write_hash_trace(dir, &trace).map_err(|e| e.to_string())?;
     Ok(RecordOutcome {
@@ -217,7 +200,9 @@ pub fn resume_capsule(path: &Path) -> Result<String, String> {
     let system = System::from_label(&name)
         .ok_or_else(|| format!("{}: unknown policy {name:?}", path.display()))?;
     let from_s = snap.state.at().as_secs_f64();
-    let report = runner::resume_once(snap.state, &system).map_err(|e| e.to_string())?;
+    let report = runner::drive_audited(snap.state, &system, None, false, &mut EngineArena::new())
+        .map_err(|e| e.to_string())?
+        .into_report();
     Ok(format!(
         "resumed {} from t={from_s:.0}s under {}\n\
          makespan {:.1}s, fingerprint {:#018x}\n",

@@ -19,7 +19,8 @@
 use mapreduce::auditor::{audit, AuditSetup};
 use mapreduce::policy::{SlotPolicy, StaticSlotPolicy};
 use mapreduce::{
-    CounterLedger, Engine, EngineArena, EngineConfig, EngineState, HashPoint, JobSpec, RunReport,
+    CounterLedger, Drive, Driven, Engine, EngineArena, EngineConfig, EngineState, JobSpec,
+    RunReport,
 };
 use serde::{Deserialize, Serialize};
 use simgrid::error::SimError;
@@ -175,11 +176,7 @@ pub fn run_once(
     system: &System,
     seed: u64,
 ) -> Result<RunReport, SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let report = Engine::new(cfg).run_with(jobs, policy.as_mut(), &active_telemetry())?;
-    account_and_audit(report, &setup)
+    run_once_in(cfg, jobs, system, seed, &mut EngineArena::new())
 }
 
 /// [`run_once`] drawing scratch from a recycled [`EngineArena`] — the
@@ -192,85 +189,41 @@ pub fn run_once_in(
     seed: u64,
     arena: &mut EngineArena,
 ) -> Result<RunReport, SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let report = Engine::new(cfg).run_in(jobs, policy.as_mut(), &active_telemetry(), arena)?;
-    account_and_audit(report, &setup)
+    let state = prepare_warm(cfg, jobs, seed)?;
+    drive_audited(state, system, None, false, arena).map(Driven::into_report)
 }
 
-/// [`run_once`], additionally capturing a state capsule at every multiple
-/// of `every` simulated time. The run is audited like any other.
-pub fn run_once_with_snapshots(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    system: &System,
-    seed: u64,
-    every: SimDuration,
-) -> Result<(RunReport, Vec<EngineState>), SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let (report, capsules) = Engine::new(cfg).run_with_snapshots(jobs, policy.as_mut(), every)?;
-    Ok((account_and_audit(report, &setup)?, capsules))
-}
-
-/// [`run_once_with_snapshots`], additionally recording the engine's
-/// per-step hash trace — the replay-verification path of the CI
-/// equivalence gate.
-pub fn run_once_with_snapshots_traced(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    system: &System,
-    seed: u64,
-    every: SimDuration,
-) -> Result<(RunReport, Vec<EngineState>, Vec<HashPoint>), SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let (report, capsules, trace) =
-        Engine::new(cfg).run_with_snapshots_traced(jobs, policy.as_mut(), every)?;
-    Ok((account_and_audit(report, &setup)?, capsules, trace))
-}
-
-/// Resume a capsule to completion under a fresh instance of `system`
-/// (which must match the capsule's recorded policy name), with the same
-/// auditing and accounting as [`run_once`].
-pub fn resume_once(state: EngineState, system: &System) -> Result<RunReport, SimError> {
-    let setup = AuditSetup::from_config(state.config());
-    let mut policy = system.make_policy();
-    let report = Engine::resume_with(state, policy.as_mut(), &active_telemetry())?;
-    account_and_audit(report, &setup)
-}
-
-/// [`resume_once`], additionally recording the resumed run's per-step
-/// hash trace for comparison against the straight run's.
-pub fn resume_once_traced(
+/// Drive `state` to completion under a fresh instance of `system` (which
+/// must match the state's bound policy, if any), with [`Drive`]'s capture
+/// and hash-trace options and scratch from `arena`. Every harness run
+/// goes through here, so every report is accounted and audited (see
+/// [`run_once`]) before it is handed back.
+pub fn drive_audited(
     state: EngineState,
     system: &System,
-) -> Result<(RunReport, Vec<HashPoint>), SimError> {
-    let setup = AuditSetup::from_config(state.config());
-    let mut policy = system.make_policy();
-    let (report, trace) = Engine::resume_traced(state, policy.as_mut())?;
-    Ok((account_and_audit(report, &setup)?, trace))
-}
-
-/// [`resume_once`] drawing scratch from a recycled [`EngineArena`].
-pub fn resume_once_in(
-    state: EngineState,
-    system: &System,
+    snapshot_every: Option<SimDuration>,
+    trace_hashes: bool,
     arena: &mut EngineArena,
-) -> Result<RunReport, SimError> {
+) -> Result<Driven, SimError> {
     let setup = AuditSetup::from_config(state.config());
     let mut policy = system.make_policy();
-    let report = Engine::resume_in(state, policy.as_mut(), &active_telemetry(), arena)?;
-    account_and_audit(report, &setup)
+    let drive = Drive {
+        until: None,
+        snapshot_every,
+        trace_hashes,
+        telem: &active_telemetry(),
+        arena,
+    };
+    let mut driven = Engine::drive(state, policy.as_mut(), drive)?;
+    let report = driven.report.take().expect("an unbounded drive finishes");
+    driven.report = Some(account_and_audit(report, &setup)?);
+    Ok(driven)
 }
 
-/// Boot the cluster and DFS for `jobs` and capture the t=0 capsule sweeps
-/// warm-start from, under the process-wide engine-mode override and the
-/// given seed (the capsule can only be resumed under configs with this
-/// seed).
+/// Boot the cluster and DFS for `jobs` and return the t=0 capsule every
+/// harness run starts from, under the process-wide engine-mode override
+/// and the given seed. Sweeps share one such capsule across cells
+/// ([`bind_warm`]); it can only be resumed under configs with this seed.
 pub fn prepare_warm(
     cfg: &EngineConfig,
     jobs: Vec<JobSpec>,
@@ -279,35 +232,21 @@ pub fn prepare_warm(
     Engine::new(effective_config(cfg, seed)).prepare(jobs)
 }
 
-/// Run one sweep cell from a shared warm capsule: bind the capsule to the
-/// cell's config (fault plan, knobs — cluster/seed/block size must match
-/// the capture) and `system`, then resume. Byte-identical to a cold
+/// Bind a shared warm capsule to one sweep cell: the cell's config (fault
+/// plan, knobs — cluster/seed/block size must match the capture) and
+/// `system`. Driving the bound state is byte-identical to a cold
 /// [`run_once`] of the same cell — proven by `warm_start_equals_cold_run`
 /// below.
-pub fn run_warm(
+pub fn bind_warm(
     warm: &EngineState,
     cfg: &EngineConfig,
     system: &System,
     seed: u64,
-) -> Result<RunReport, SimError> {
+) -> Result<EngineState, SimError> {
     let mut state = warm.clone();
     state.override_config(effective_config(cfg, seed))?;
     state.override_policy(system.label())?;
-    resume_once(state, system)
-}
-
-/// [`run_warm`] drawing scratch from a recycled [`EngineArena`].
-pub fn run_warm_in(
-    warm: &EngineState,
-    cfg: &EngineConfig,
-    system: &System,
-    seed: u64,
-    arena: &mut EngineArena,
-) -> Result<RunReport, SimError> {
-    let mut state = warm.clone();
-    state.override_config(effective_config(cfg, seed))?;
-    state.override_policy(system.label())?;
-    resume_once_in(state, system, arena)
+    Ok(state)
 }
 
 /// The per-run config: the cell's config with the trial seed and the
@@ -411,10 +350,11 @@ impl SweepCell for CellRequest {
     }
 
     fn run(&self, arena: &mut EngineArena) -> Result<RunReport, SimError> {
-        match &self.warm {
-            Some(warm) => run_warm_in(warm, &self.cfg, &self.system, self.seed, arena),
-            None => run_once_in(&self.cfg, self.jobs.clone(), &self.system, self.seed, arena),
-        }
+        let state = match &self.warm {
+            Some(warm) => bind_warm(warm, &self.cfg, &self.system, self.seed)?,
+            None => prepare_warm(&self.cfg, self.jobs.clone(), self.seed)?,
+        };
+        drive_audited(state, &self.system, None, false, arena).map(Driven::into_report)
     }
 }
 
@@ -454,7 +394,8 @@ pub fn run_averaged_warm(
     trials: usize,
 ) -> Result<AveragedRun, SimError> {
     run_averaged_by(cfg, system, trials, &|seed, arena| {
-        run_warm_in(&warm_for_seed(seed), cfg, system, seed, arena)
+        let state = bind_warm(&warm_for_seed(seed), cfg, system, seed)?;
+        drive_audited(state, system, None, false, arena).map(Driven::into_report)
     })
 }
 
@@ -598,6 +539,17 @@ mod tests {
         Puma::Grep.job(0, 2048.0, 8, SimTime::ZERO)
     }
 
+    /// One warm cell, driven the way [`CellRequest::run`] drives it.
+    fn drive_warm(
+        warm: &EngineState,
+        cfg: &EngineConfig,
+        system: &System,
+        seed: u64,
+    ) -> Result<RunReport, SimError> {
+        let state = bind_warm(warm, cfg, system, seed)?;
+        drive_audited(state, system, None, false, &mut EngineArena::new()).map(Driven::into_report)
+    }
+
     #[test]
     fn run_once_all_systems() {
         let cfg = small_cfg();
@@ -634,7 +586,7 @@ mod tests {
         let pooled = run_cells(&cells);
         let legacy = [
             run_once(&cfg, vec![small_job()], &System::HadoopV1, 3).unwrap(),
-            run_warm(&warm, &cfg, &System::SMapReduce, 5).unwrap(),
+            drive_warm(&warm, &cfg, &System::SMapReduce, 5).unwrap(),
             run_once(&cfg, vec![small_job()], &System::Yarn, 4).unwrap(),
         ];
         for (got, want) in pooled.reports.iter().zip(&legacy) {
@@ -715,7 +667,7 @@ mod tests {
         let seed = 77;
         let warm = prepare_warm(&base, vec![small_job()], seed).expect("prepare");
         for sys in [System::HadoopV1, System::SMapReduce] {
-            let warm_report = run_warm(&warm, &cell, &sys, seed).expect("warm run");
+            let warm_report = drive_warm(&warm, &cell, &sys, seed).expect("warm run");
             let cold_report = run_once(&cell, vec![small_job()], &sys, seed).expect("cold run");
             assert_eq!(
                 serde_json::to_string(&warm_report).unwrap(),

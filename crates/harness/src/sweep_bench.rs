@@ -6,9 +6,11 @@
 //! the legacy sequential path and byte-compared, so the throughput number
 //! is only reported alongside proof the pooled results are identical.
 
-use crate::runner::{prepare_warm, run_cells, run_warm, trial_seed, CellRequest, System};
+use crate::runner::{
+    bind_warm, drive_audited, prepare_warm, run_cells, trial_seed, CellRequest, System,
+};
 use crate::scale::Scale;
-use mapreduce::{EngineConfig, EngineState};
+use mapreduce::{EngineArena, EngineConfig, EngineState};
 use serde::{Deserialize, Serialize};
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
@@ -121,7 +123,10 @@ fn run_grid(scale: Scale, seeds: usize, stride: usize) -> SweepBench {
     let outcome = run_cells(&requests);
     let mut mismatches = 0usize;
     for (idx, warm, cfg, sys, seed) in &samples {
-        let legacy = run_warm(warm, cfg, sys, *seed).expect("legacy cell completes");
+        let state = bind_warm(warm, cfg, sys, *seed).expect("legacy cell binds");
+        let legacy = drive_audited(state, sys, None, false, &mut EngineArena::new())
+            .expect("legacy cell completes")
+            .into_report();
         let pooled = outcome.reports[*idx]
             .as_ref()
             .expect("pooled cell completes");

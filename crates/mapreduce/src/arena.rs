@@ -9,8 +9,8 @@
 //! [`EngineArena`] owns that family between cells. The engine checks the
 //! buffers out at cell start (reset **in place**: cleared and re-sized
 //! into the existing backing allocation, never reconstructed), threads
-//! them through the run as its ordinary scratch fields, and checks them
-//! back in when the cell finishes. The arena counts **growth events** —
+//! them through the run as its one `scratch` field, and checks them back
+//! in when the cell finishes. The arena counts **growth events** —
 //! any checkout or run that had to enlarge a backing allocation — so the
 //! steady state is testable: after one warm-up cell of a given shape,
 //! subsequent same-shape cells must report zero growth.
@@ -25,9 +25,9 @@
 //! * no pointer, index, or id derived from a previous cell survives in
 //!   the arena — only raw allocations do.
 //!
-//! Consequently a run produces byte-identical reports whether its scratch
-//! came from a fresh allocation or a recycled arena; the determinism
-//! suite in `tests/sweep_determinism.rs` holds this to the letter.
+//! Consequently a run produces byte-identical reports whether its arena
+//! is fresh or recycled; the determinism suite in
+//! `tests/sweep_determinism.rs` holds this to the letter.
 
 use crate::engine::{FetchPost, FlowPurpose, TaskRef};
 use crate::policy::TrackerSnapshot;
@@ -43,28 +43,12 @@ const FAMILIES: usize = 18;
 /// Reusable scratch allocations for one engine run at a time.
 ///
 /// An arena is owned by one pool worker (or one sequential loop) and
-/// passed to [`crate::Engine::run_in`] / [`crate::Engine::resume_in`];
-/// it is not shareable across concurrent runs.
+/// passed to [`crate::Engine::drive`] through [`crate::Drive`]; it is not
+/// shareable across concurrent runs. Every run draws its scratch from an
+/// arena — a caller with nothing to recycle passes a fresh one.
 #[derive(Debug, Default)]
 pub struct EngineArena {
-    node_cpu: Vec<f64>,
-    node_disk: Vec<f64>,
-    nic_in: Vec<f64>,
-    nic_out: Vec<f64>,
-    occ_map: Vec<usize>,
-    occ_reduce: Vec<usize>,
-    node_tasks: Vec<Vec<(TaskRef, TaskDemand)>>,
-    demands: Vec<TaskDemand>,
-    flows: Vec<Flow>,
-    purposes: Vec<(FlowId, FlowPurpose)>,
-    fabric: FabricScratch,
-    rates: Vec<f64>,
-    scales: Vec<(TaskRef, f64)>,
-    map_posts: Vec<(MapAttemptId, f64)>,
-    fetch_posts: Vec<FetchPost>,
-    shares: Vec<f64>,
-    sources: Vec<(NodeId, f64)>,
-    snapshots: Vec<TrackerSnapshot>,
+    scratch: Scratch,
     /// Capacity footprint of the buffers currently checked out, recorded
     /// so check-in can detect growth that happened *during* the run.
     handed_caps: [usize; FAMILIES],
@@ -72,54 +56,73 @@ pub struct EngineArena {
     cells: u64,
 }
 
-/// The scratch family one run threads through its step loop. Fresh runs
-/// build it with [`Scratch::fresh`]; arena-backed runs check it out of an
-/// [`EngineArena`] and return it on completion.
-#[derive(Debug)]
+/// The scratch family one run threads through its step loop, checked out
+/// of an [`EngineArena`] at the start and returned on completion.
+#[derive(Debug, Default)]
 pub(crate) struct Scratch {
+    /// Per-node rates rewritten by every allocate phase and read by the
+    /// following integrate: granted CPU cores, disk MB/s, NIC MB/s per
+    /// direction, and step-start slot occupancy.
     pub(crate) node_cpu: Vec<f64>,
     pub(crate) node_disk: Vec<f64>,
     pub(crate) nic_in: Vec<f64>,
     pub(crate) nic_out: Vec<f64>,
     pub(crate) occ_map: Vec<usize>,
     pub(crate) occ_reduce: Vec<usize>,
+    /// Per-node task lists and the flattened demand vector the node
+    /// allocator walks.
     pub(crate) node_tasks: Vec<Vec<(TaskRef, TaskDemand)>>,
     pub(crate) demands: Vec<TaskDemand>,
+    /// Flow list and the purpose tags indexing its grants, the dense
+    /// water-filling slabs, and the positional grant vector.
     pub(crate) flows: Vec<Flow>,
     pub(crate) purposes: Vec<(FlowId, FlowPurpose)>,
     pub(crate) fabric: FabricScratch,
     pub(crate) rates: Vec<f64>,
+    /// Backing stores of the step's `StepRates`, lent out at allocate and
+    /// reclaimed after integrate.
     pub(crate) scales: Vec<(TaskRef, f64)>,
     pub(crate) map_posts: Vec<(MapAttemptId, f64)>,
     pub(crate) fetch_posts: Vec<FetchPost>,
+    /// Per-node shares of the job whose reduces the flow build is visiting
+    /// (refilled once per job per step), and one reduce's selected fetch
+    /// sources (at most `shuffle_fetchers` long).
     pub(crate) shares: Vec<f64>,
     pub(crate) sources: Vec<(NodeId, f64)>,
+    /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
     pub(crate) snapshots: Vec<TrackerSnapshot>,
 }
 
 impl Scratch {
-    /// Exactly the allocations a pre-arena run performed at construction.
-    pub(crate) fn fresh(workers: usize) -> Scratch {
-        Scratch {
-            node_cpu: vec![0.0; workers],
-            node_disk: vec![0.0; workers],
-            nic_in: vec![0.0; workers],
-            nic_out: vec![0.0; workers],
-            occ_map: vec![0; workers],
-            occ_reduce: vec![0; workers],
-            node_tasks: vec![Vec::new(); workers],
-            demands: Vec::new(),
-            flows: Vec::new(),
-            purposes: Vec::new(),
-            fabric: FabricScratch::new(),
-            rates: Vec::new(),
-            scales: Vec::new(),
-            map_posts: Vec::new(),
-            fetch_posts: Vec::new(),
-            shares: vec![0.0; workers],
-            sources: Vec::new(),
-            snapshots: Vec::new(),
+    /// Reset every buffer in place for a `workers`-node run: the per-node
+    /// arrays refilled to exactly the length a fresh `vec![0; n]` would
+    /// have, the rest emptied. Returns how many families had to grow.
+    fn reset(&mut self, workers: usize) -> u64 {
+        let mut grew = 0u64;
+        grew += u64::from(reset_filled(&mut self.node_cpu, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.node_disk, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.nic_in, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
+        grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
+        grew += u64::from(reset_filled(&mut self.shares, workers, 0.0));
+        grew += u64::from(self.node_tasks.capacity() < workers);
+        for tasks in &mut self.node_tasks {
+            tasks.clear();
         }
+        self.node_tasks.resize_with(workers, Vec::new);
+        self.demands.clear();
+        self.flows.clear();
+        self.purposes.clear();
+        // the fabric scratch needs no reset: its slabs are epoch-stamped,
+        // so stale lanes are invisible to the next allocation
+        self.rates.clear();
+        self.scales.clear();
+        self.map_posts.clear();
+        self.fetch_posts.clear();
+        self.sources.clear();
+        self.snapshots.clear();
+        grew
     }
 
     /// Capacity footprint per buffer family. For the nested task lists the
@@ -147,6 +150,34 @@ impl Scratch {
             self.sources.capacity(),
             self.snapshots.capacity(),
         ]
+    }
+
+    /// Backing bytes across every family (capacity, not live length).
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.node_cpu.capacity() * size_of::<f64>()
+            + self.node_disk.capacity() * size_of::<f64>()
+            + self.nic_in.capacity() * size_of::<f64>()
+            + self.nic_out.capacity() * size_of::<f64>()
+            + self.occ_map.capacity() * size_of::<usize>()
+            + self.occ_reduce.capacity() * size_of::<usize>()
+            + self.node_tasks.capacity() * size_of::<Vec<(TaskRef, TaskDemand)>>()
+            + self
+                .node_tasks
+                .iter()
+                .map(|v| v.capacity() * size_of::<(TaskRef, TaskDemand)>())
+                .sum::<usize>()
+            + self.demands.capacity() * size_of::<TaskDemand>()
+            + self.flows.capacity() * size_of::<Flow>()
+            + self.purposes.capacity() * size_of::<(FlowId, FlowPurpose)>()
+            + self.fabric.approx_bytes()
+            + self.rates.capacity() * size_of::<f64>()
+            + self.scales.capacity() * size_of::<(TaskRef, f64)>()
+            + self.map_posts.capacity() * size_of::<(MapAttemptId, f64)>()
+            + self.fetch_posts.capacity() * size_of::<FetchPost>()
+            + self.shares.capacity() * size_of::<f64>()
+            + self.sources.capacity() * size_of::<(NodeId, f64)>()
+            + self.snapshots.capacity() * size_of::<TrackerSnapshot>()
     }
 }
 
@@ -186,80 +217,14 @@ impl EngineArena {
     /// the scale bench's peak-memory proxy. Counts backing capacity, not
     /// live length, because capacity is what the process actually keeps.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.node_cpu.capacity() * size_of::<f64>()
-            + self.node_disk.capacity() * size_of::<f64>()
-            + self.nic_in.capacity() * size_of::<f64>()
-            + self.nic_out.capacity() * size_of::<f64>()
-            + self.occ_map.capacity() * size_of::<usize>()
-            + self.occ_reduce.capacity() * size_of::<usize>()
-            + self.node_tasks.capacity() * size_of::<Vec<(TaskRef, TaskDemand)>>()
-            + self
-                .node_tasks
-                .iter()
-                .map(|v| v.capacity() * size_of::<(TaskRef, TaskDemand)>())
-                .sum::<usize>()
-            + self.demands.capacity() * size_of::<TaskDemand>()
-            + self.flows.capacity() * size_of::<Flow>()
-            + self.purposes.capacity() * size_of::<(FlowId, FlowPurpose)>()
-            + self.fabric.approx_bytes()
-            + self.rates.capacity() * size_of::<f64>()
-            + self.scales.capacity() * size_of::<(TaskRef, f64)>()
-            + self.map_posts.capacity() * size_of::<(MapAttemptId, f64)>()
-            + self.fetch_posts.capacity() * size_of::<FetchPost>()
-            + self.shares.capacity() * size_of::<f64>()
-            + self.sources.capacity() * size_of::<(NodeId, f64)>()
-            + self.snapshots.capacity() * size_of::<TrackerSnapshot>()
+        self.scratch.approx_bytes()
     }
 
     /// Reset every buffer in place for a `workers`-node cell and hand the
     /// family out. The caller returns it via [`EngineArena::check_in`].
     pub(crate) fn checkout(&mut self, workers: usize) -> Scratch {
-        let mut grew = 0u64;
-        grew += u64::from(reset_filled(&mut self.node_cpu, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.node_disk, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.nic_in, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
-        grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
-        grew += u64::from(reset_filled(&mut self.shares, workers, 0.0));
-        grew += u64::from(self.node_tasks.capacity() < workers);
-        for tasks in &mut self.node_tasks {
-            tasks.clear();
-        }
-        self.node_tasks.resize_with(workers, Vec::new);
-        self.demands.clear();
-        self.flows.clear();
-        self.purposes.clear();
-        // the fabric scratch needs no reset: its slabs are epoch-stamped,
-        // so stale lanes are invisible to the next allocation
-        self.rates.clear();
-        self.scales.clear();
-        self.map_posts.clear();
-        self.fetch_posts.clear();
-        self.sources.clear();
-        self.snapshots.clear();
-        self.growth_events += grew;
-        let scratch = Scratch {
-            node_cpu: std::mem::take(&mut self.node_cpu),
-            node_disk: std::mem::take(&mut self.node_disk),
-            nic_in: std::mem::take(&mut self.nic_in),
-            nic_out: std::mem::take(&mut self.nic_out),
-            occ_map: std::mem::take(&mut self.occ_map),
-            occ_reduce: std::mem::take(&mut self.occ_reduce),
-            node_tasks: std::mem::take(&mut self.node_tasks),
-            demands: std::mem::take(&mut self.demands),
-            flows: std::mem::take(&mut self.flows),
-            purposes: std::mem::take(&mut self.purposes),
-            fabric: std::mem::take(&mut self.fabric),
-            rates: std::mem::take(&mut self.rates),
-            scales: std::mem::take(&mut self.scales),
-            map_posts: std::mem::take(&mut self.map_posts),
-            fetch_posts: std::mem::take(&mut self.fetch_posts),
-            shares: std::mem::take(&mut self.shares),
-            sources: std::mem::take(&mut self.sources),
-            snapshots: std::mem::take(&mut self.snapshots),
-        };
+        self.growth_events += self.scratch.reset(workers);
+        let scratch = std::mem::take(&mut self.scratch);
         self.handed_caps = scratch.caps();
         scratch
     }
@@ -272,24 +237,7 @@ impl EngineArena {
                 self.growth_events += 1;
             }
         }
-        self.node_cpu = scratch.node_cpu;
-        self.node_disk = scratch.node_disk;
-        self.nic_in = scratch.nic_in;
-        self.nic_out = scratch.nic_out;
-        self.occ_map = scratch.occ_map;
-        self.occ_reduce = scratch.occ_reduce;
-        self.node_tasks = scratch.node_tasks;
-        self.demands = scratch.demands;
-        self.flows = scratch.flows;
-        self.purposes = scratch.purposes;
-        self.fabric = scratch.fabric;
-        self.rates = scratch.rates;
-        self.scales = scratch.scales;
-        self.map_posts = scratch.map_posts;
-        self.fetch_posts = scratch.fetch_posts;
-        self.shares = scratch.shares;
-        self.sources = scratch.sources;
-        self.snapshots = scratch.snapshots;
+        self.scratch = scratch;
         self.cells += 1;
     }
 }

@@ -885,7 +885,12 @@ mod tests {
             SimTime::ZERO,
         );
         Engine::new(cfg)
-            .run_with(vec![job], &mut StaticSlotPolicy, &telem)
+            .run_in(
+                vec![job],
+                &mut StaticSlotPolicy,
+                &telem,
+                &mut crate::EngineArena::new(),
+            )
             .expect("run succeeds");
         telem
     }

@@ -24,6 +24,12 @@
 //! heartbeat rounds, which land on identical boundaries, so either mode is
 //! deterministic for a given [`EngineConfig::seed`] and the two agree on
 //! every paper-shape outcome (cross-validated in `tests/`).
+//!
+//! One step loop serves both modes and every way of running a workload:
+//! [`Engine::drive`] takes an [`EngineState`] — [`Engine::prepare`]'s t=0
+//! state for a fresh run, or a captured capsule for a resume — and runs it
+//! to completion or to a bounded instant, optionally capturing capsules
+//! and tracing per-step hashes on the way ([`Drive`]).
 
 use crate::arena::{EngineArena, Scratch};
 use crate::counters::{Counter, CounterLedger};
@@ -41,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use simgrid::cluster::{ClusterSpec, NodeId};
 use simgrid::error::SimError;
 use simgrid::metrics::RecordedSeries;
-use simgrid::network::{Fabric, FabricConfig, FabricScratch, Flow, FlowId};
+use simgrid::network::{Fabric, FabricConfig, Flow, FlowId};
 use simgrid::node::allocate_node;
 use simgrid::rng::SimRng;
 use simgrid::time::{EventHorizon, SimDuration, SimTime, SteppingMode, TickConfig};
@@ -471,8 +477,9 @@ fn build_replica_postings(jobs: &[JobInProgress], workers: usize) -> Vec<Vec<Vec
 }
 
 /// The engine. Construct with a config, then [`Engine::run`] a workload
-/// under a policy. An engine can run multiple workloads; each run is
-/// independent (fresh RNG derivation from the seed).
+/// under a policy — or [`Engine::prepare`] its t=0 state and
+/// [`Engine::drive`] that. An engine can run multiple workloads; each run
+/// is independent (fresh RNG derivation from the seed).
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
@@ -493,33 +500,19 @@ impl Engine {
         jobs: Vec<JobSpec>,
         policy: &mut dyn SlotPolicy,
     ) -> Result<RunReport, SimError> {
-        self.run_with(jobs, policy, &Telemetry::disabled())
+        self.run_in(
+            jobs,
+            policy,
+            &Telemetry::disabled(),
+            &mut EngineArena::new(),
+        )
     }
 
-    /// Run `jobs` to completion under `policy`, recording tick-phase spans,
-    /// slot-count tracks and lifecycle/decision instants into `telem`.
-    /// Telemetry is strictly observational: a run produces bit-identical
-    /// results whether the handle is enabled, disabled, or shared.
-    pub fn run_with(
-        &self,
-        jobs: Vec<JobSpec>,
-        policy: &mut dyn SlotPolicy,
-        telem: &Telemetry,
-    ) -> Result<RunReport, SimError> {
-        self.config.validate()?;
-        if jobs.is_empty() {
-            return Err(SimError::InvalidConfig("no jobs submitted".into()));
-        }
-        policy.attach_telemetry(telem);
-        let mut sim = Sim::new(&self.config, jobs, policy, telem.clone())?;
-        sim.run_to_completion()
-    }
-
-    /// [`Engine::run_with`] drawing the run's scratch buffers from
-    /// `arena` instead of fresh allocations, and returning them to it
-    /// when the run finishes (successfully or not). The report is
-    /// byte-identical to the fresh-allocation path; only the allocation
-    /// behaviour differs.
+    /// [`Engine::run`], recording tick-phase spans, slot-count tracks and
+    /// lifecycle/decision instants into `telem` and drawing scratch from
+    /// `arena`. Both are strictly observational: a run produces
+    /// bit-identical results whether the handle is enabled or disabled and
+    /// whether the arena is fresh or recycled.
     pub fn run_in(
         &self,
         jobs: Vec<JobSpec>,
@@ -527,22 +520,10 @@ impl Engine {
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<RunReport, SimError> {
-        self.config.validate()?;
-        if jobs.is_empty() {
-            return Err(SimError::InvalidConfig("no jobs submitted".into()));
-        }
-        policy.attach_telemetry(telem);
-        let scratch = arena.checkout(self.config.cluster.workers);
-        // a construction error drops the scratch; the arena simply
-        // re-allocates (and counts a growth event) on its next checkout
-        let mut sim = Sim::new_in(&self.config, jobs, policy, telem.clone(), scratch)?;
-        let out = sim.run_to_completion();
-        arena.check_in(sim.take_scratch());
-        out
+        Engine::resume_in(self.prepare(jobs)?, policy, telem, arena)
     }
 }
 
-/// Mutable state of one run.
 /// One splitmix64-style avalanche round folding word `w` into digest `h`.
 /// This is the engine's hash-fold primitive: `state_hash` starts at
 /// [`initial_state_hash`] and absorbs one word at a time, every step.
@@ -575,6 +556,7 @@ pub struct HashPoint {
     pub hash: u64,
 }
 
+/// Mutable state of one run.
 struct Sim<'p> {
     cfg: EngineConfig,
     policy: &'p mut dyn SlotPolicy,
@@ -645,40 +627,11 @@ struct Sim<'p> {
     job_counters: Vec<CounterLedger>,
     /// Per-node resource-grant integrals between sample boundaries.
     usage: NodeUsageSampler,
-    /// Per-node rate scratch rewritten by every allocate phase and read by
-    /// the following integrate: granted CPU cores, disk MB/s, and NIC
-    /// MB/s per direction. Kept on the sim so the step loop allocates
-    /// nothing.
-    node_cpu: Vec<f64>,
-    node_disk: Vec<f64>,
-    nic_in: Vec<f64>,
-    nic_out: Vec<f64>,
-    occ_map: Vec<usize>,
-    occ_reduce: Vec<usize>,
-    /// Per-node task lists and the flattened demand vector the node
-    /// allocator walks; cleared and refilled by every allocate phase.
-    task_scratch: Vec<Vec<(TaskRef, simgrid::node::TaskDemand)>>,
-    demand_scratch: Vec<simgrid::node::TaskDemand>,
-    /// Flow list (and the purpose tags indexing its grants) handed to the
-    /// fabric each step; cleared and rebuilt in place.
-    flow_scratch: Vec<Flow>,
-    purpose_scratch: Vec<(FlowId, FlowPurpose)>,
-    /// Dense water-filling state (cluster-sized slabs, epoch-reset) and
-    /// the positional rate vector the fabric writes grants into.
-    fabric_scratch: FabricScratch,
-    rate_scratch: Vec<f64>,
-    /// Recycled backing stores for [`StepRates`]; swapped out at allocate
-    /// and swapped back by [`Sim::reclaim`] after integrate.
-    scales_scratch: Vec<(TaskRef, f64)>,
-    map_post_scratch: Vec<(MapAttemptId, f64)>,
-    fetch_post_scratch: Vec<FetchPost>,
-    /// Per-node shares of the job whose reduces the flow build is visiting
-    /// (refilled once per job per step), and the per-reduce fetch-source
-    /// list selected against them (at most `shuffle_fetchers` long).
-    share_scratch: Vec<f64>,
-    source_scratch: Vec<(NodeId, f64)>,
-    /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
-    snapshot_scratch: Vec<TrackerSnapshot>,
+    /// Every per-step working buffer (per-node rates, task and flow
+    /// lists, fabric slabs, recycled [`StepRates`] stores), checked out of
+    /// an [`EngineArena`] for the run and returned to it afterwards. Kept
+    /// on the sim so the step loop allocates nothing.
+    scratch: Scratch,
     /// Per-job, per-node replica postings: `replica_postings[job][node]`
     /// lists the block indices of `job` holding a replica on `node`, so a
     /// crash prunes exactly the affected blocks instead of scanning every
@@ -708,190 +661,26 @@ struct Sim<'p> {
 }
 
 impl<'p> Sim<'p> {
-    fn new(
-        cfg: &EngineConfig,
-        specs: Vec<JobSpec>,
-        policy: &'p mut dyn SlotPolicy,
-        telem: Telemetry,
-    ) -> Result<Sim<'p>, SimError> {
-        let scratch = Scratch::fresh(cfg.cluster.workers);
-        Sim::new_in(cfg, specs, policy, telem, scratch)
-    }
-
-    /// [`Sim::new`] with the scratch family supplied by the caller — the
-    /// arena-backed construction path. `scratch` must already be reset for
-    /// `cfg.cluster.workers` nodes (both [`Scratch::fresh`] and
-    /// [`EngineArena::checkout`] guarantee this).
-    fn new_in(
-        cfg: &EngineConfig,
-        specs: Vec<JobSpec>,
-        policy: &'p mut dyn SlotPolicy,
-        telem: Telemetry,
-        scratch: Scratch,
-    ) -> Result<Sim<'p>, SimError> {
-        let root = SimRng::new(cfg.seed);
-        let placement = dfs::PlacementPolicy::default();
-        let replication = placement.replication();
-        let mut namenode = NameNode::new(
-            cfg.cluster.clone(),
-            placement,
-            cfg.block_mb,
-            root.derive("dfs"),
-        );
-        let mut jobs = Vec::with_capacity(specs.len());
-        let mut profiles = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.into_iter().enumerate() {
-            if spec.id.0 != i {
-                return Err(SimError::InvalidConfig(format!(
-                    "job ids must be dense submission order (job {i} has id {})",
-                    spec.id.0
-                )));
-            }
-            let layout = namenode.create_file(spec.input_mb);
-            profiles.push(spec.profile.clone());
-            jobs.push(JobInProgress::new(spec, layout, cfg.cluster.workers));
-        }
-        let trackers = cfg
-            .cluster
-            .nodes()
-            .map(|node| Tracker {
-                node,
-                map_slots: SlotSet::new(cfg.init_map_slots),
-                reduce_slots: SlotSet::new(cfg.init_reduce_slots),
-                meters: TrackerMeters::new(SimTime::ZERO),
-                stall_ms: 0,
-                down_since: None,
-                lost_handled: true,
-                attempt_failures: 0,
-                blacklisted: false,
-            })
-            .collect();
-        let mut events = EventLog::new(cfg.record_events);
-        events.set_sink(telem.clone());
-        let node_specs: Vec<simgrid::node::NodeSpec> = cfg
-            .cluster
-            .nodes()
-            .map(|n| *cfg.cluster.node_spec(n))
-            .collect();
-        let job_counters = vec![CounterLedger::new(); jobs.len()];
-        let replica_postings = build_replica_postings(&jobs, cfg.cluster.workers);
-        Ok(Sim {
-            sched: FifoScheduler {
-                reduce_slowstart: cfg.reduce_slowstart,
-                kind: cfg.scheduler,
-            },
-            fabric: Fabric::new(cfg.fabric),
-            rng: root.derive("engine"),
-            cfg: cfg.clone(),
-            policy,
-            jobs,
-            profiles,
-            trackers,
-            running_maps: BTreeMap::new(),
-            running_reduces: BTreeMap::new(),
-            now: SimTime::ZERO,
-            map_slot_series: RecordedSeries::new("map_slot_target", telem.clone()),
-            reduce_slot_series: RecordedSeries::new("reduce_slot_target", telem.clone()),
-            slot_changes: 0,
-            heartbeat_round: 0,
-            events,
-            steps: 0,
-            step_counter: telem.counter("engine.steps"),
-            heartbeat_counter: telem.counter("engine.heartbeat_rounds"),
-            step_duration_us: telem.histogram("engine.step_duration_us"),
-            node_crash_counter: telem.counter("engine.node_crashes"),
-            lost_output_counter: telem.counter("engine.lost_map_outputs"),
-            telem,
-            speculative_attempts: 0,
-            speculative_wins: 0,
-            failure_points: HashMap::new(),
-            map_failures: 0,
-            cpu_granted_core_s: 0.0,
-            cpu_offered_core_s: 0.0,
-            network_mb: 0.0,
-            node_up: vec![true; cfg.cluster.workers],
-            faults_done_until: SimTime::ZERO,
-            replication,
-            rerep_queue: VecDeque::new(),
-            rerep_progress: 0.0,
-            node_crashes: 0,
-            crash_task_kills: 0,
-            lost_map_outputs: 0,
-            trackers_blacklisted: 0,
-            map_input_processed_mb: 0.0,
-            job_counters,
-            usage: NodeUsageSampler::new(&node_specs),
-            node_cpu: scratch.node_cpu,
-            node_disk: scratch.node_disk,
-            nic_in: scratch.nic_in,
-            nic_out: scratch.nic_out,
-            occ_map: scratch.occ_map,
-            occ_reduce: scratch.occ_reduce,
-            task_scratch: scratch.node_tasks,
-            demand_scratch: scratch.demands,
-            flow_scratch: scratch.flows,
-            purpose_scratch: scratch.purposes,
-            fabric_scratch: scratch.fabric,
-            rate_scratch: scratch.rates,
-            scales_scratch: scratch.scales,
-            map_post_scratch: scratch.map_posts,
-            fetch_post_scratch: scratch.fetch_posts,
-            share_scratch: scratch.shares,
-            source_scratch: scratch.sources,
-            snapshot_scratch: scratch.snapshots,
-            replica_postings,
-            snap_every: None,
-            snapshots: Vec::new(),
-            resumed: false,
-            state_hash: initial_state_hash(cfg.seed),
-            trace_hashes: false,
-            hash_trace: Vec::new(),
-        })
-    }
-
-    /// Hand the scratch family back (for return to an [`EngineArena`])
-    /// once the run is over. The sim must not step again afterwards.
-    fn take_scratch(&mut self) -> Scratch {
-        Scratch {
-            node_cpu: std::mem::take(&mut self.node_cpu),
-            node_disk: std::mem::take(&mut self.node_disk),
-            nic_in: std::mem::take(&mut self.nic_in),
-            nic_out: std::mem::take(&mut self.nic_out),
-            occ_map: std::mem::take(&mut self.occ_map),
-            occ_reduce: std::mem::take(&mut self.occ_reduce),
-            node_tasks: std::mem::take(&mut self.task_scratch),
-            demands: std::mem::take(&mut self.demand_scratch),
-            flows: std::mem::take(&mut self.flow_scratch),
-            purposes: std::mem::take(&mut self.purpose_scratch),
-            fabric: std::mem::take(&mut self.fabric_scratch),
-            rates: std::mem::take(&mut self.rate_scratch),
-            scales: std::mem::take(&mut self.scales_scratch),
-            map_posts: std::mem::take(&mut self.map_post_scratch),
-            fetch_posts: std::mem::take(&mut self.fetch_post_scratch),
-            shares: std::mem::take(&mut self.share_scratch),
-            sources: std::mem::take(&mut self.source_scratch),
-            snapshots: std::mem::take(&mut self.snapshot_scratch),
-        }
-    }
-
     /// Return a step's [`StepRates`] backing stores to the sim's scratch
-    /// fields once integrate has consumed them, so the next allocate phase
+    /// once integrate has consumed them, so the next allocate phase
     /// reuses the allocations instead of growing fresh ones.
     fn reclaim(&mut self, rates: StepRates) {
-        self.scales_scratch = rates.scales;
-        self.map_post_scratch = rates.map_posts;
-        self.fetch_post_scratch = rates.fetch_posts;
+        self.scratch.scales = rates.scales;
+        self.scratch.map_posts = rates.map_posts;
+        self.scratch.fetch_posts = rates.fetch_posts;
     }
 
-    fn run_to_completion(&mut self) -> Result<RunReport, SimError> {
-        let finished = self.advance(None)?;
-        debug_assert!(finished, "unbounded advance only returns on completion");
-        Ok(self.build_report())
-    }
-
-    /// Advance the run until every job finishes or the sim clock reaches
-    /// `until` (whichever comes first); `None` means run to completion.
-    /// Returns `true` when all jobs have finished.
+    /// The step loop, in both stepping modes: advance the run until every
+    /// job finishes or the sim clock reaches `until` (whichever comes
+    /// first); `None` means run to completion. Returns `true` when all
+    /// jobs have finished.
+    ///
+    /// Heartbeats, samples and with them every RNG draw land on the same
+    /// instants in both modes, which differ in only three places: fixed
+    /// mode steps exactly one tick while adaptive mode steps to the
+    /// earliest instant at which any rate can change; fixed mode samples
+    /// grid instants before the time advance, adaptive mode after it; and
+    /// adaptive mode takes a pre-loop sample at t=0.
     ///
     /// The stop check sits at the very top of the step loop — the same
     /// point [`Sim::maybe_capture`] captures at — so a capsule captured
@@ -900,9 +689,67 @@ impl<'p> Sim<'p> {
     /// boundaries are pure functions of sim state, so an interrupted run
     /// advances through exactly the steps an uninterrupted one would.
     fn advance(&mut self, until: Option<SimTime>) -> Result<bool, SimError> {
-        match self.cfg.tick.mode {
-            SteppingMode::Fixed => self.advance_fixed(until),
-            SteppingMode::Adaptive => self.advance_adaptive(until),
+        if self.jobs.iter().all(|j| j.is_finished()) {
+            return Ok(true); // idle run: the sim clock stays frozen
+        }
+        let fixed = self.cfg.tick.mode == SteppingMode::Fixed;
+        // record the initial state so slot/progress series start at t=0
+        // (already recorded when resuming from an in-loop capture)
+        if !fixed && !self.resumed {
+            self.sample();
+            self.resumed = true;
+        }
+        loop {
+            if until.is_some_and(|stop| self.now >= stop) {
+                return Ok(false);
+            }
+            self.maybe_capture();
+            let step_start = self.telem.clock_us();
+            let sim_ms = self.now.as_millis();
+            self.process_fault_transitions()?;
+            if self.now.is_multiple_of(self.cfg.heartbeat) {
+                let t0 = self.telem.clock_us();
+                self.check_expired_trackers()?;
+                self.heartbeat_round();
+                self.telem
+                    .record_span("engine", "heartbeat_round", t0, sim_ms);
+            }
+            let rates = self.allocate_step(fixed.then(|| self.cfg.tick.dt_secs()));
+            let dt = if fixed {
+                self.cfg.tick.tick
+            } else {
+                let t0 = self.telem.clock_us();
+                let dt = self.compute_horizon(&rates);
+                self.telem.record_span("step", "event_horizon", t0, sim_ms);
+                dt
+            };
+            self.integrate(dt.as_secs_f64(), dt.as_millis(), &rates);
+            self.reclaim(rates);
+            if fixed && self.now.is_multiple_of(self.cfg.sample_period) {
+                let t0 = self.telem.clock_us();
+                self.sample();
+                self.telem.record_span("engine", "sample", t0, sim_ms);
+            }
+            self.steps += 1;
+            self.step_counter.inc();
+            if telemetry::PROFILING_ENABLED {
+                let end = self.telem.clock_us();
+                self.step_duration_us.record(end.saturating_sub(step_start));
+            }
+            self.now += dt;
+            self.fold_step_hash();
+            let finished = self.jobs.iter().all(|j| j.is_finished());
+            if finished || (!fixed && self.now.is_multiple_of(self.cfg.sample_period)) {
+                let t0 = self.telem.clock_us();
+                self.sample();
+                self.telem.record_span("engine", "sample", t0, sim_ms);
+            }
+            if finished {
+                return Ok(true);
+            }
+            if self.now > self.cfg.tick.horizon {
+                return Err(self.horizon_error());
+            }
         }
     }
 
@@ -1000,112 +847,6 @@ impl<'p> Sim<'p> {
         }
     }
 
-    /// The fixed-tick reference loop: every step is exactly one tick.
-    fn advance_fixed(&mut self, until: Option<SimTime>) -> Result<bool, SimError> {
-        if self.jobs.iter().all(|j| j.is_finished()) {
-            return Ok(true); // idle run: the sim clock stays frozen
-        }
-        let dt = self.cfg.tick.dt_secs();
-        let dt_ms = self.cfg.tick.tick.as_millis();
-        loop {
-            if until.is_some_and(|stop| self.now >= stop) {
-                return Ok(false);
-            }
-            self.maybe_capture();
-            let step_start = self.telem.clock_us();
-            let sim_ms = self.now.as_millis();
-            self.process_fault_transitions()?;
-            if self.now.is_multiple_of(self.cfg.heartbeat) {
-                let t0 = self.telem.clock_us();
-                self.check_expired_trackers()?;
-                self.heartbeat_round();
-                self.telem
-                    .record_span("engine", "heartbeat_round", t0, sim_ms);
-            }
-            let rates = self.allocate_step(Some(dt));
-            self.integrate(dt, dt_ms, &rates);
-            self.reclaim(rates);
-            if self.now.is_multiple_of(self.cfg.sample_period) {
-                let t0 = self.telem.clock_us();
-                self.sample();
-                self.telem.record_span("engine", "sample", t0, sim_ms);
-            }
-            self.steps += 1;
-            self.step_counter.inc();
-            if telemetry::PROFILING_ENABLED {
-                let end = self.telem.clock_us();
-                self.step_duration_us.record(end.saturating_sub(step_start));
-            }
-            self.now += self.cfg.tick.tick;
-            self.fold_step_hash();
-            if self.jobs.iter().all(|j| j.is_finished()) {
-                self.sample();
-                return Ok(true);
-            }
-            if self.now > self.cfg.tick.horizon {
-                return Err(self.horizon_error());
-            }
-        }
-    }
-
-    /// The adaptive event-horizon loop: after each allocation, advance by
-    /// the earliest instant at which any rate can change. Heartbeat and
-    /// sample boundaries cap every step, so periodic logic (and with it
-    /// every RNG draw) lands on exactly the same instants as in fixed mode.
-    fn advance_adaptive(&mut self, until: Option<SimTime>) -> Result<bool, SimError> {
-        if self.jobs.iter().all(|j| j.is_finished()) {
-            return Ok(true); // idle run: the sim clock stays frozen
-        }
-        // record the initial state so slot/progress series start at t=0
-        // (already recorded when resuming from an in-loop capture)
-        if !self.resumed {
-            self.sample();
-            self.resumed = true;
-        }
-        loop {
-            if until.is_some_and(|stop| self.now >= stop) {
-                return Ok(false);
-            }
-            self.maybe_capture();
-            let step_start = self.telem.clock_us();
-            let sim_ms = self.now.as_millis();
-            self.process_fault_transitions()?;
-            if self.now.is_multiple_of(self.cfg.heartbeat) {
-                let t0 = self.telem.clock_us();
-                self.check_expired_trackers()?;
-                self.heartbeat_round();
-                self.telem
-                    .record_span("engine", "heartbeat_round", t0, sim_ms);
-            }
-            let rates = self.allocate_step(None);
-            let t0 = self.telem.clock_us();
-            let dt = self.compute_horizon(&rates);
-            self.telem.record_span("step", "event_horizon", t0, sim_ms);
-            self.integrate(dt.as_secs_f64(), dt.as_millis(), &rates);
-            self.reclaim(rates);
-            self.steps += 1;
-            self.step_counter.inc();
-            if telemetry::PROFILING_ENABLED {
-                let end = self.telem.clock_us();
-                self.step_duration_us.record(end.saturating_sub(step_start));
-            }
-            self.now += dt;
-            self.fold_step_hash();
-            let finished = self.jobs.iter().all(|j| j.is_finished());
-            if finished || self.now.is_multiple_of(self.cfg.sample_period) {
-                let t0 = self.telem.clock_us();
-                self.sample();
-                self.telem.record_span("engine", "sample", t0, sim_ms);
-            }
-            if finished {
-                return Ok(true);
-            }
-            if self.now > self.cfg.tick.horizon {
-                return Err(self.horizon_error());
-            }
-        }
-    }
-
     fn horizon_error(&self) -> SimError {
         let pending: Vec<String> = self
             .jobs
@@ -1143,7 +884,7 @@ impl<'p> Sim<'p> {
         // (SMapReduce included) is fault-aware without its own crash logic.
         // The snapshot list is a recycled cluster-sized buffer, so the
         // heartbeat fan-in stops allocating once it has seen a full round.
-        let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
+        let snapshots = &mut self.scratch.snapshots;
         snapshots.clear();
         snapshots.extend(
             self.trackers
@@ -1161,7 +902,7 @@ impl<'p> Sim<'p> {
         let ctx = PolicyContext {
             now: self.now,
             stats: &stats,
-            trackers: &snapshots,
+            trackers: &self.scratch.snapshots,
             init_map_slots: self.cfg.init_map_slots,
             init_reduce_slots: self.cfg.init_reduce_slots,
         };
@@ -1169,7 +910,6 @@ impl<'p> Sim<'p> {
         let directives = self.policy.decide(&ctx);
         self.telem
             .record_span("heartbeat", "policy_decide", t0, sim_ms);
-        self.snapshot_scratch = snapshots;
         let overhead = self.policy.directive_overhead_ms();
         for d in directives {
             let tr = &mut self.trackers[d.node.0];
@@ -1332,24 +1072,22 @@ impl<'p> Sim<'p> {
         let (scales, cpu_offered_rate, cpu_granted_rate) = self.allocate_nodes(fixed_dt.is_some());
         self.telem.record_span("step", "allocate_nodes", t0, sim_ms);
         let t0 = self.telem.clock_us();
-        let mut flows = std::mem::take(&mut self.flow_scratch);
-        let mut purposes = std::mem::take(&mut self.purpose_scratch);
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let mut shares = std::mem::take(&mut self.share_scratch);
-        flows.clear();
-        purposes.clear();
+        // the flow build reads `self`, so the scratch family is held out
+        // of it until the postings are built
+        let mut s = std::mem::take(&mut self.scratch);
+        s.flows.clear();
+        s.purposes.clear();
         self.build_flows_into(
             fixed_dt,
             &scales,
-            &mut flows,
-            &mut purposes,
-            &mut shares,
-            &mut sources,
+            &mut s.flows,
+            &mut s.purposes,
+            &mut s.shares,
+            &mut s.sources,
         );
-        let mut grants = std::mem::take(&mut self.rate_scratch);
         let workers = self.trackers.len();
         self.fabric
-            .allocate_into(&flows, workers, &mut self.fabric_scratch, &mut grants);
+            .allocate_into(&s.flows, workers, &mut s.fabric, &mut s.rates);
         // one span for the flow build and the water-filling together:
         // bench tooling folds spans by name, so it stays unsplit
         self.telem
@@ -1359,16 +1097,16 @@ impl<'p> Sim<'p> {
         // got less than it asked for is *contended* — its depletion frees
         // fabric bandwidth others are waiting on, so it must be a horizon
         // event
-        let mut map_posts = std::mem::take(&mut self.map_post_scratch);
-        let mut fetch_posts = std::mem::take(&mut self.fetch_post_scratch);
+        let mut map_posts = std::mem::take(&mut s.map_posts);
+        let mut fetch_posts = std::mem::take(&mut s.fetch_posts);
         map_posts.clear();
         fetch_posts.clear();
-        self.nic_in.fill(0.0);
-        self.nic_out.fill(0.0);
-        for ((flow, (fid, purpose)), &rate) in flows.iter().zip(&purposes).zip(&grants) {
+        s.nic_in.fill(0.0);
+        s.nic_out.fill(0.0);
+        for ((flow, (fid, purpose)), &rate) in s.flows.iter().zip(&s.purposes).zip(&s.rates) {
             debug_assert_eq!(flow.id, *fid);
-            self.nic_out[flow.src.0] += rate;
-            self.nic_in[flow.dst.0] += rate;
+            s.nic_out[flow.src.0] += rate;
+            s.nic_in[flow.dst.0] += rate;
             match *purpose {
                 FlowPurpose::MapRead(id) => map_posts.push((id, rate)),
                 FlowPurpose::Fetch(rid, src) => fetch_posts.push(FetchPost {
@@ -1384,11 +1122,7 @@ impl<'p> Sim<'p> {
         // reduce but unsorted within a group (sources come backlog-first)
         debug_assert!(map_posts.windows(2).all(|w| w[0].0 < w[1].0));
         fetch_posts.sort_unstable_by_key(|p| (p.reduce, p.src));
-        self.flow_scratch = flows;
-        self.purpose_scratch = purposes;
-        self.source_scratch = sources;
-        self.share_scratch = shares;
-        self.rate_scratch = grants;
+        self.scratch = s;
         StepRates {
             scales,
             map_posts,
@@ -1413,12 +1147,12 @@ impl<'p> Sim<'p> {
         self.usage.accumulate_all(
             dt,
             &self.node_up,
-            &self.node_cpu,
-            &self.node_disk,
-            &self.nic_in,
-            &self.nic_out,
-            &self.occ_map,
-            &self.occ_reduce,
+            &self.scratch.node_cpu,
+            &self.scratch.node_disk,
+            &self.scratch.nic_in,
+            &self.scratch.nic_out,
+            &self.scratch.occ_map,
+            &self.scratch.occ_reduce,
         );
         let t0 = self.telem.clock_us();
         self.advance_maps(dt, &rates.scales, &rates.map_posts);
@@ -1549,12 +1283,12 @@ impl<'p> Sim<'p> {
     /// the step at stall expiry instead.
     fn allocate_nodes(&mut self, fixed: bool) -> (Vec<(TaskRef, f64)>, f64, f64) {
         let workers = self.trackers.len();
-        self.node_cpu.fill(0.0);
-        self.node_disk.fill(0.0);
+        self.scratch.node_cpu.fill(0.0);
+        self.scratch.node_disk.fill(0.0);
         // recycle the per-node task lists: clear each inner list, keep the
         // backing allocations from previous steps (and previous cells)
-        let mut node_tasks = std::mem::take(&mut self.task_scratch);
-        for tasks in &mut node_tasks {
+        let node_tasks = &mut self.scratch.node_tasks;
+        for tasks in node_tasks.iter_mut() {
             tasks.clear();
         }
         node_tasks.resize_with(workers, Vec::new);
@@ -1568,7 +1302,7 @@ impl<'p> Sim<'p> {
         }
         let tick_ms = self.cfg.tick.tick.as_millis() as f64;
         let any_active = self.jobs.iter().any(|j| j.is_active(self.now));
-        let mut out = std::mem::take(&mut self.scales_scratch);
+        let mut out = std::mem::take(&mut self.scratch.scales);
         out.clear();
         let mut offered = 0.0;
         let mut granted = 0.0;
@@ -1581,17 +1315,18 @@ impl<'p> Sim<'p> {
             // snapshot step-start slot occupancy for the usage sampler
             // here, where the tracker is already in cache; nothing changes
             // it before the integrate phase reads the snapshot
-            self.occ_map[n] = self.trackers[n].map_slots.occupied();
-            self.occ_reduce[n] = self.trackers[n].reduce_slots.occupied();
+            self.scratch.occ_map[n] = self.trackers[n].map_slots.occupied();
+            self.scratch.occ_reduce[n] = self.trackers[n].reduce_slots.occupied();
             if any_active {
                 offered += self.cfg.cluster.node_spec(NodeId(n)).cores;
             }
             if tasks.is_empty() {
                 continue;
             }
-            self.demand_scratch.clear();
-            self.demand_scratch.extend(tasks.iter().map(|t| t.1));
-            let scales = allocate_node(self.cfg.cluster.node_spec(NodeId(n)), &self.demand_scratch);
+            self.scratch.demands.clear();
+            self.scratch.demands.extend(tasks.iter().map(|t| t.1));
+            let scales =
+                allocate_node(self.cfg.cluster.node_spec(NodeId(n)), &self.scratch.demands);
             let stall_factor = if fixed {
                 1.0 - self.trackers[n].stall_ms.min(tick_ms as u64) as f64 / tick_ms
             } else if self.trackers[n].stall_ms > 0 {
@@ -1601,12 +1336,11 @@ impl<'p> Sim<'p> {
             };
             for ((r, d), s) in tasks.iter().zip(scales) {
                 granted += d.cpu_cores * s * stall_factor;
-                self.node_cpu[n] += d.cpu_cores * s * stall_factor;
-                self.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
+                self.scratch.node_cpu[n] += d.cpu_cores * s * stall_factor;
+                self.scratch.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
                 out.push((*r, s * stall_factor));
             }
         }
-        self.task_scratch = node_tasks;
         // tasks were gathered per node, not in `TaskRef` order; sort so the
         // consumers can binary-search (unique keys ⇒ unstable sort is
         // deterministic)
@@ -2719,22 +2453,14 @@ impl<'p> Sim<'p> {
         }
     }
 
-    /// Rebuild a live run from a captured state. The policy must match
-    /// the captured `policy_name`; its run state is restored before the
-    /// loop re-enters. Live handles (telemetry, event sinks) are attached
-    /// fresh, per-step scratch is re-zeroed, and everything derivable
-    /// from the config or the jobs (profiles, fabric) is reconstructed.
-    fn from_state(
-        state: EngineState,
-        policy: &'p mut dyn SlotPolicy,
-        telem: Telemetry,
-    ) -> Result<Sim<'p>, SimError> {
-        let scratch = Scratch::fresh(state.config.cluster.workers);
-        Sim::from_state_in(state, policy, telem, scratch)
-    }
-
-    /// [`Sim::from_state`] with caller-supplied scratch — the arena-backed
-    /// resume path.
+    /// Rebuild a live run from a captured state — the one constructor: a
+    /// fresh run starts from [`Engine::prepare`]'s t=0 state. The policy
+    /// must match the captured `policy_name` (an unbound t=0 state binds
+    /// to whichever policy drives it); its run state is restored before
+    /// the loop enters. Live handles (telemetry, event sinks) are attached
+    /// fresh, `scratch` comes reset from [`EngineArena::checkout`], and
+    /// everything derivable from the config or the jobs (profiles, fabric,
+    /// replica postings) is reconstructed.
     fn from_state_in(
         state: EngineState,
         policy: &'p mut dyn SlotPolicy,
@@ -2743,7 +2469,7 @@ impl<'p> Sim<'p> {
     ) -> Result<Sim<'p>, SimError> {
         let cfg = state.config.clone();
         cfg.validate()?;
-        if policy.name() != state.policy_name {
+        if !state.policy_name.is_empty() && policy.name() != state.policy_name {
             return Err(SimError::InvalidConfig(format!(
                 "capsule was captured under policy {} but resume got {}",
                 state.policy_name,
@@ -2818,24 +2544,7 @@ impl<'p> Sim<'p> {
             map_input_processed_mb: state.map_input_processed_mb,
             job_counters: state.job_counters,
             usage: state.usage,
-            node_cpu: scratch.node_cpu,
-            node_disk: scratch.node_disk,
-            nic_in: scratch.nic_in,
-            nic_out: scratch.nic_out,
-            occ_map: scratch.occ_map,
-            occ_reduce: scratch.occ_reduce,
-            task_scratch: scratch.node_tasks,
-            demand_scratch: scratch.demands,
-            flow_scratch: scratch.flows,
-            purpose_scratch: scratch.purposes,
-            fabric_scratch: scratch.fabric,
-            rate_scratch: scratch.rates,
-            scales_scratch: scratch.scales,
-            map_post_scratch: scratch.map_posts,
-            fetch_post_scratch: scratch.fetch_posts,
-            share_scratch: scratch.shares,
-            source_scratch: scratch.sources,
-            snapshot_scratch: scratch.snapshots,
+            scratch,
             replica_postings,
             snap_every: None,
             snapshots: Vec::new(),
@@ -3203,225 +2912,234 @@ pub struct NodeObservation {
     pub utilization: f64,
 }
 
-/// Outcome of one bounded [`Engine::advance_until_in`] advance.
+/// How far [`Engine::drive`] runs a state, what it records on the way,
+/// and where its telemetry and scratch come from.
 #[derive(Debug)]
-pub struct Advanced {
-    /// The run re-captured at the stop instant (or at the finish instant
-    /// with the clock frozen, once every job has completed).
-    pub state: EngineState,
-    /// Every job has finished; further advances are no-ops.
-    pub finished: bool,
-    /// Integration steps executed by this advance.
-    pub steps_run: u64,
-    /// The full run report, available once `finished` is true.
+pub struct Drive<'a> {
+    /// Stop at the top of the first step at or after this sim instant and
+    /// re-capture the run there; `None` runs to completion.
+    pub until: Option<SimTime>,
+    /// Capture a capsule at every multiple of this period (which must be
+    /// a multiple of the sample period, so captures land on instants both
+    /// stepping modes already stop at).
+    pub snapshot_every: Option<SimDuration>,
+    /// Record a [`HashPoint`] for every step.
+    pub trace_hashes: bool,
+    pub telem: &'a Telemetry,
+    /// Scratch is checked out of this arena for the drive and returned to
+    /// it when the step loop ends, whether it finished or failed.
+    pub arena: &'a mut EngineArena,
+}
+
+impl<'a> Drive<'a> {
+    /// Run to completion, recording nothing beyond the report.
+    pub fn to_completion(telem: &'a Telemetry, arena: &'a mut EngineArena) -> Drive<'a> {
+        Drive {
+            until: None,
+            snapshot_every: None,
+            trace_hashes: false,
+            telem,
+            arena,
+        }
+    }
+}
+
+/// What one [`Engine::drive`] produced.
+#[derive(Debug)]
+pub struct Driven {
+    /// The full run report, once every job has finished.
     pub report: Option<RunReport>,
+    /// For a drive with `until` set: the run re-captured where it stopped
+    /// (or at the finish instant with the clock frozen, once every job
+    /// has completed — further drives are then no-ops).
+    pub state: Option<EngineState>,
+    /// Integration steps executed by this drive.
+    pub steps_run: u64,
+    /// Capsules captured at every `snapshot_every` multiple.
+    pub snapshots: Vec<EngineState>,
+    /// One entry per step when `trace_hashes` was set. The first entry
+    /// continues from the driven state's `state_hash`, so a resumed run's
+    /// trace is exactly the straight run's trace after the capture.
+    pub hash_trace: Vec<HashPoint>,
+}
+
+impl Driven {
+    /// The finished run's report. Panics if the drive stopped at `until`
+    /// before every job had finished.
+    pub fn into_report(self) -> RunReport {
+        self.report
+            .expect("the drive stopped before the run finished")
+    }
+}
+
+/// Validate a checkpoint period: it must be non-zero and a multiple of the
+/// sample period so capture instants are step boundaries both stepping
+/// modes already land on (capture is then purely observational — step
+/// counts and draws are unchanged).
+fn validate_snapshot_period(cfg: &EngineConfig, every: SimDuration) -> Result<(), SimError> {
+    if every == SimDuration::ZERO {
+        return Err(SimError::InvalidConfig(
+            "checkpoint period must be non-zero".into(),
+        ));
+    }
+    let sample = cfg.sample_period.as_millis();
+    if sample == 0 || !every.as_millis().is_multiple_of(sample) {
+        return Err(SimError::InvalidConfig(format!(
+            "checkpoint period {} ms must be a multiple of the sample period {} ms",
+            every.as_millis(),
+            sample
+        )));
+    }
+    Ok(())
 }
 
 impl Engine {
-    /// Validate a checkpoint period: it must be non-zero and a multiple
-    /// of the sample period so capture instants are step boundaries both
-    /// stepping modes already land on (capture is then purely
-    /// observational — step counts and draws are unchanged).
-    fn validate_snapshot_period(&self, every: SimDuration) -> Result<(), SimError> {
-        if every == SimDuration::ZERO {
-            return Err(SimError::InvalidConfig(
-                "checkpoint period must be non-zero".into(),
-            ));
-        }
-        let sample = self.config.sample_period.as_millis();
-        if sample == 0 || !every.as_millis().is_multiple_of(sample) {
-            return Err(SimError::InvalidConfig(format!(
-                "checkpoint period {} ms must be a multiple of the sample period {} ms",
-                every.as_millis(),
-                sample
-            )));
-        }
-        Ok(())
-    }
-
-    /// Build a run and capture its state before the first step: the
-    /// cluster is booted and the DFS layouts are materialised, but no
-    /// time has passed and the policy has not run. Sweeps resume this one
-    /// capsule under different fault plans and policies
-    /// ([`EngineState::override_config`] / [`EngineState::override_policy`])
-    /// instead of re-doing the common prefix per cell.
+    /// Boot the cluster, materialise the DFS layouts and return the run's
+    /// t=0 state: no time has passed and no policy has run. Every run
+    /// starts here — [`Engine::run`] drives this state straight away, and
+    /// sweeps resume one such capsule under different fault plans and
+    /// policies ([`EngineState::override_config`] /
+    /// [`EngineState::override_policy`]) instead of re-doing the common
+    /// prefix per cell. The state is not bound to a policy yet; the first
+    /// policy to drive it binds it.
     pub fn prepare(&self, jobs: Vec<JobSpec>) -> Result<EngineState, SimError> {
-        self.config.validate()?;
+        let cfg = &self.config;
+        cfg.validate()?;
         if jobs.is_empty() {
             return Err(SimError::InvalidConfig("no jobs submitted".into()));
         }
-        let mut policy = crate::policy::StaticSlotPolicy;
-        let sim = Sim::new(&self.config, jobs, &mut policy, Telemetry::disabled())?;
-        let mut state = sim.capture_state(false);
-        state.policy_name = String::new(); // not bound to a policy yet
-        Ok(state)
-    }
-
-    /// [`Engine::run`], additionally capturing a state capsule at every
-    /// multiple of `every` (which must be a multiple of the sample
-    /// period).
-    pub fn run_with_snapshots(
-        &self,
-        jobs: Vec<JobSpec>,
-        policy: &mut dyn SlotPolicy,
-        every: SimDuration,
-    ) -> Result<(RunReport, Vec<EngineState>), SimError> {
-        self.config.validate()?;
-        self.validate_snapshot_period(every)?;
-        if jobs.is_empty() {
-            return Err(SimError::InvalidConfig("no jobs submitted".into()));
+        let root = SimRng::new(cfg.seed);
+        let placement = dfs::PlacementPolicy::default();
+        let replication = placement.replication();
+        let mut namenode = NameNode::new(
+            cfg.cluster.clone(),
+            placement,
+            cfg.block_mb,
+            root.derive("dfs"),
+        );
+        let workers = cfg.cluster.workers;
+        let mut in_progress = Vec::with_capacity(jobs.len());
+        for (i, spec) in jobs.into_iter().enumerate() {
+            if spec.id.0 != i {
+                return Err(SimError::InvalidConfig(format!(
+                    "job ids must be dense submission order (job {i} has id {})",
+                    spec.id.0
+                )));
+            }
+            let layout = namenode.create_file(spec.input_mb);
+            in_progress.push(JobInProgress::new(spec, layout, workers));
         }
-        let telem = Telemetry::disabled();
-        policy.attach_telemetry(&telem);
-        let mut sim = Sim::new(&self.config, jobs, policy, telem)?;
-        sim.snap_every = Some(every);
-        let report = sim.run_to_completion()?;
-        Ok((report, std::mem::take(&mut sim.snapshots)))
+        let trackers = cfg
+            .cluster
+            .nodes()
+            .map(|node| Tracker {
+                node,
+                map_slots: SlotSet::new(cfg.init_map_slots),
+                reduce_slots: SlotSet::new(cfg.init_reduce_slots),
+                meters: TrackerMeters::new(SimTime::ZERO),
+                stall_ms: 0,
+                down_since: None,
+                lost_handled: true,
+                attempt_failures: 0,
+                blacklisted: false,
+            })
+            .collect();
+        let node_specs: Vec<simgrid::node::NodeSpec> = cfg
+            .cluster
+            .nodes()
+            .map(|n| *cfg.cluster.node_spec(n))
+            .collect();
+        Ok(EngineState {
+            config: cfg.clone(),
+            now: SimTime::ZERO,
+            policy_name: String::new(),
+            policy_state: serde::Value::Null,
+            initial_sample_done: false,
+            job_counters: vec![CounterLedger::new(); in_progress.len()],
+            jobs: in_progress,
+            trackers,
+            running_maps: Vec::new(),
+            running_reduces: Vec::new(),
+            sched: FifoScheduler {
+                reduce_slowstart: cfg.reduce_slowstart,
+                kind: cfg.scheduler,
+            },
+            rng: root.derive("engine"),
+            map_slot_series: simgrid::metrics::TimeSeries::new(),
+            reduce_slot_series: simgrid::metrics::TimeSeries::new(),
+            slot_changes: 0,
+            heartbeat_round: 0,
+            events: EventLog::new(cfg.record_events),
+            steps: 0,
+            speculative_attempts: 0,
+            speculative_wins: 0,
+            failure_points: Vec::new(),
+            map_failures: 0,
+            cpu_granted_core_s: 0.0,
+            cpu_offered_core_s: 0.0,
+            network_mb: 0.0,
+            node_up: vec![true; workers],
+            faults_done_until: SimTime::ZERO,
+            replication,
+            rerep_queue: VecDeque::new(),
+            rerep_progress: 0.0,
+            node_crashes: 0,
+            crash_task_kills: 0,
+            lost_map_outputs: 0,
+            trackers_blacklisted: 0,
+            map_input_processed_mb: 0.0,
+            usage: NodeUsageSampler::new(&node_specs),
+            state_hash: initial_state_hash(cfg.seed),
+        })
     }
 
-    /// [`Engine::run_with_snapshots`], additionally recording the per-step
-    /// hash trace ([`HashPoint`] per completed step). Tracing is strictly
-    /// observational: the report and capsules are identical to the
-    /// untraced run's.
-    pub fn run_with_snapshots_traced(
-        &self,
-        jobs: Vec<JobSpec>,
-        policy: &mut dyn SlotPolicy,
-        every: SimDuration,
-    ) -> Result<(RunReport, Vec<EngineState>, Vec<HashPoint>), SimError> {
-        self.config.validate()?;
-        self.validate_snapshot_period(every)?;
-        if jobs.is_empty() {
-            return Err(SimError::InvalidConfig("no jobs submitted".into()));
-        }
-        let telem = Telemetry::disabled();
-        policy.attach_telemetry(&telem);
-        let mut sim = Sim::new(&self.config, jobs, policy, telem)?;
-        sim.snap_every = Some(every);
-        sim.trace_hashes = true;
-        let report = sim.run_to_completion()?;
-        Ok((
-            report,
-            std::mem::take(&mut sim.snapshots),
-            std::mem::take(&mut sim.hash_trace),
-        ))
-    }
-
-    /// Resume a captured run to completion. The configuration comes from
-    /// the capsule; `policy` must be a fresh instance of the captured
-    /// policy (matched by name) and is handed the captured state.
-    pub fn resume(state: EngineState, policy: &mut dyn SlotPolicy) -> Result<RunReport, SimError> {
-        Engine::resume_with(state, policy, &Telemetry::disabled())
-    }
-
-    /// [`Engine::resume`] with a telemetry sink attached to the restored
-    /// run (telemetry is strictly observational either way).
-    pub fn resume_with(
+    /// Drive a run from `state` under `policy` — the one step-loop entry
+    /// every run, resume, capture and bounded advance goes through. The
+    /// configuration comes from the state; `policy` must be a fresh
+    /// instance of the state's bound policy (matched by name) and is
+    /// handed its captured run state.
+    ///
+    /// With `until` set the drive stops at the top of the step loop,
+    /// exactly where periodic captures land, so chaining bounded drives
+    /// replays the identical step/draw/hash sequence of one straight run.
+    /// Captures and hash tracing are strictly observational: the report
+    /// is identical with or without them.
+    pub fn drive(
         state: EngineState,
         policy: &mut dyn SlotPolicy,
-        telem: &Telemetry,
-    ) -> Result<RunReport, SimError> {
-        policy.attach_telemetry(telem);
-        let mut sim = Sim::from_state(state, policy, telem.clone())?;
-        sim.run_to_completion()
+        drive: Drive<'_>,
+    ) -> Result<Driven, SimError> {
+        if let Some(every) = drive.snapshot_every {
+            validate_snapshot_period(&state.config, every)?;
+        }
+        policy.attach_telemetry(drive.telem);
+        let scratch = drive.arena.checkout(state.config.cluster.workers);
+        // a construction error drops the scratch; the arena simply
+        // re-allocates (and counts a growth event) on its next checkout
+        let mut sim = Sim::from_state_in(state, policy, drive.telem.clone(), scratch)?;
+        sim.snap_every = drive.snapshot_every;
+        sim.trace_hashes = drive.trace_hashes;
+        let steps_before = sim.steps;
+        let driven = sim.advance(drive.until).map(|finished| Driven {
+            report: finished.then(|| sim.build_report()),
+            state: drive.until.map(|_| sim.capture_state(true)),
+            steps_run: sim.steps - steps_before,
+            snapshots: std::mem::take(&mut sim.snapshots),
+            hash_trace: std::mem::take(&mut sim.hash_trace),
+        });
+        drive.arena.check_in(std::mem::take(&mut sim.scratch));
+        driven
     }
 
-    /// [`Engine::resume_with`] drawing scratch from (and returning it to)
-    /// `arena` — the warm-start path of an arena-backed sweep cell.
+    /// Resume a captured run to completion, recording into `telem` and
+    /// drawing scratch from (and returning it to) `arena`.
     pub fn resume_in(
         state: EngineState,
         policy: &mut dyn SlotPolicy,
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<RunReport, SimError> {
-        policy.attach_telemetry(telem);
-        let scratch = arena.checkout(state.config.cluster.workers);
-        let mut sim = Sim::from_state_in(state, policy, telem.clone(), scratch)?;
-        let out = sim.run_to_completion();
-        arena.check_in(sim.take_scratch());
-        out
-    }
-
-    /// Advance a captured run until its sim clock reaches `target` (or
-    /// every job finishes, whichever comes first) and re-capture it — the
-    /// incremental stepping primitive behind the realtime service's tick
-    /// loop. Scratch is drawn from (and returned to) `arena`.
-    ///
-    /// The stop lands at the top of the step loop, exactly where periodic
-    /// captures land, so chaining bounded advances replays the identical
-    /// step/draw/hash sequence of one straight run: step boundaries are
-    /// pure functions of sim state, and an interrupted run resumes with
-    /// the stop instant's fault transitions and heartbeat still pending.
-    /// Once every job has finished the sim clock freezes (further
-    /// advances return immediately) and the full [`RunReport`] is built.
-    pub fn advance_until_in(
-        state: EngineState,
-        policy: &mut dyn SlotPolicy,
-        target: SimTime,
-        telem: &Telemetry,
-        arena: &mut EngineArena,
-    ) -> Result<Advanced, SimError> {
-        policy.attach_telemetry(telem);
-        let scratch = arena.checkout(state.config.cluster.workers);
-        let mut sim = Sim::from_state_in(state, policy, telem.clone(), scratch)?;
-        let steps_before = sim.steps;
-        let outcome = sim.advance(Some(target));
-        match outcome {
-            Ok(finished) => {
-                let state = sim.capture_state(true);
-                let report = if finished {
-                    Some(sim.build_report())
-                } else {
-                    None
-                };
-                let steps_run = sim.steps - steps_before;
-                arena.check_in(sim.take_scratch());
-                Ok(Advanced {
-                    state,
-                    finished,
-                    steps_run,
-                    report,
-                })
-            }
-            Err(e) => {
-                arena.check_in(sim.take_scratch());
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Engine::resume`], additionally recording the per-step hash trace
-    /// of the replayed suffix. The first trace entry continues from the
-    /// capsule's restored `state_hash`, so when replay is equivalent the
-    /// trace is exactly the straight run's trace restricted to the steps
-    /// after the capture instant.
-    pub fn resume_traced(
-        state: EngineState,
-        policy: &mut dyn SlotPolicy,
-    ) -> Result<(RunReport, Vec<HashPoint>), SimError> {
-        let telem = Telemetry::disabled();
-        policy.attach_telemetry(&telem);
-        let mut sim = Sim::from_state(state, policy, telem)?;
-        sim.trace_hashes = true;
-        let report = sim.run_to_completion()?;
-        Ok((report, std::mem::take(&mut sim.hash_trace)))
-    }
-
-    /// Resume a captured run, continuing to capture capsules at every
-    /// multiple of `every` — the replay half of divergence bisection.
-    pub fn resume_with_snapshots(
-        state: EngineState,
-        policy: &mut dyn SlotPolicy,
-        every: SimDuration,
-    ) -> Result<(RunReport, Vec<EngineState>), SimError> {
-        let engine = Engine::new(state.config.clone());
-        engine.validate_snapshot_period(every)?;
-        let telem = Telemetry::disabled();
-        policy.attach_telemetry(&telem);
-        let mut sim = Sim::from_state(state, policy, telem)?;
-        sim.snap_every = Some(every);
-        let report = sim.run_to_completion()?;
-        Ok((report, std::mem::take(&mut sim.snapshots)))
+        Engine::drive(state, policy, Drive::to_completion(telem, arena)).map(Driven::into_report)
     }
 }
 
@@ -3461,6 +3179,26 @@ mod tests {
         assert!(j.reduce_time().as_secs_f64() > 1.0);
     }
 
+    /// A fresh run of `job` under HadoopV1, driven to completion with a
+    /// capsule captured at every multiple of `every`.
+    fn captured_run(engine: &Engine, job: JobSpec, every: SimDuration) -> Result<Driven, SimError> {
+        let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
+        let drive = Drive {
+            snapshot_every: Some(every),
+            ..Drive::to_completion(&telem, &mut arena)
+        };
+        Engine::drive(engine.prepare(vec![job])?, &mut StaticSlotPolicy, drive)
+    }
+
+    fn resume(state: EngineState, policy: &mut dyn SlotPolicy) -> Result<RunReport, SimError> {
+        Engine::resume_in(
+            state,
+            policy,
+            &Telemetry::disabled(),
+            &mut EngineArena::new(),
+        )
+    }
+
     #[test]
     fn chunked_advance_until_matches_straight_run_in_both_modes() {
         for fixed in [false, true] {
@@ -3479,52 +3217,106 @@ mod tests {
             let straight = engine
                 .run(vec![job.clone()], &mut StaticSlotPolicy)
                 .unwrap();
-
-            // same run, advanced in 5-sim-second quanta through the
-            // capsule path the realtime service uses per tick
+            let json = |r: &RunReport| serde_json::to_string(r).unwrap();
             let telem = Telemetry::disabled();
             let mut arena = EngineArena::new();
-            let mut state = engine.prepare(vec![job]).unwrap();
-            state.override_policy("HadoopV1").unwrap();
-            let mut report = None;
-            let mut chunks = 0u32;
-            while report.is_none() {
-                let target = state.at() + SimDuration::from_secs(5);
-                let adv = Engine::advance_until_in(
-                    state,
-                    &mut StaticSlotPolicy,
-                    target,
-                    &telem,
-                    &mut arena,
-                )
-                .unwrap();
-                state = adv.state;
-                report = adv.report;
-                chunks += 1;
-                assert!(chunks < 10_000, "fixed={fixed}: run never converged");
-            }
-            assert!(chunks > 2, "fixed={fixed}: want a genuinely chunked run");
-            let json = |r: &RunReport| serde_json::to_string(r).unwrap();
-            assert_eq!(
-                json(&straight),
-                json(&report.unwrap()),
-                "fixed={fixed}: chunked advance must be invisible"
-            );
 
-            // further advances of a finished run are no-ops that leave the
-            // sim clock frozen
-            let at = state.at();
-            let adv = Engine::advance_until_in(
-                state,
+            // the straight run again, capturing every 10 s and tracing
+            // every step: recording perturbs nothing
+            let every = SimDuration::from_secs(10);
+            let recorded = Engine::drive(
+                engine.prepare(vec![job.clone()]).unwrap(),
                 &mut StaticSlotPolicy,
-                at + SimDuration::from_secs(100),
-                &telem,
-                &mut arena,
+                Drive {
+                    snapshot_every: Some(every),
+                    trace_hashes: true,
+                    ..Drive::to_completion(&telem, &mut arena)
+                },
             )
             .unwrap();
-            assert!(adv.finished);
-            assert_eq!(adv.steps_run, 0);
-            assert_eq!(adv.state.at(), at);
+            assert_eq!(json(&straight), json(recorded.report.as_ref().unwrap()));
+            assert!(
+                recorded.state.is_none(),
+                "an unbounded drive re-captures nothing"
+            );
+            assert!(
+                recorded.snapshots.len() >= 2,
+                "fixed={fixed}: want multiple capsules"
+            );
+            assert_eq!(recorded.hash_trace.len() as u64, recorded.steps_run);
+            assert_eq!(recorded.steps_run, straight.steps);
+
+            // same run, advanced in bounded quanta through the capsule path
+            // the realtime service uses per tick: first plain 5-sim-second
+            // quanta, then random quanta (1 ms .. 12 s, off every grid)
+            // with capture and tracing on — the combination no single old
+            // entry point could express
+            for random in [false, true] {
+                let mut state = engine.prepare(vec![job.clone()]).unwrap();
+                let mut report = None;
+                let mut snapshots = Vec::new();
+                let mut trace = Vec::new();
+                let mut chunks = 0u64;
+                while report.is_none() {
+                    let quantum = if random {
+                        1 + fold_hash(17, chunks) % 12_000
+                    } else {
+                        5_000
+                    };
+                    let until = state.at() + SimDuration::from_millis(quantum);
+                    let driven = Engine::drive(
+                        state,
+                        &mut StaticSlotPolicy,
+                        Drive {
+                            until: Some(until),
+                            snapshot_every: random.then_some(every),
+                            trace_hashes: random,
+                            telem: &telem,
+                            arena: &mut arena,
+                        },
+                    )
+                    .unwrap();
+                    state = driven.state.expect("a bounded drive re-captures");
+                    report = driven.report;
+                    snapshots.extend(driven.snapshots);
+                    trace.extend(driven.hash_trace);
+                    chunks += 1;
+                    assert!(chunks < 10_000, "fixed={fixed}: run never converged");
+                }
+                assert!(chunks > 2, "fixed={fixed}: want a genuinely chunked run");
+                assert_eq!(
+                    json(&straight),
+                    json(&report.unwrap()),
+                    "fixed={fixed} random={random}: chunked advance must be invisible"
+                );
+                if random {
+                    assert_eq!(
+                        serde_json::to_string(&recorded.snapshots).unwrap(),
+                        serde_json::to_string(&snapshots).unwrap(),
+                        "fixed={fixed}: chunked captures must match the straight run's"
+                    );
+                    assert_eq!(
+                        recorded.hash_trace, trace,
+                        "fixed={fixed}: chunked hash trace must match the straight run's"
+                    );
+                }
+
+                // further advances of a finished run are no-ops that leave
+                // the sim clock frozen
+                let at = state.at();
+                let driven = Engine::drive(
+                    state,
+                    &mut StaticSlotPolicy,
+                    Drive {
+                        until: Some(at + SimDuration::from_secs(100)),
+                        ..Drive::to_completion(&telem, &mut arena)
+                    },
+                )
+                .unwrap();
+                assert!(driven.report.is_some());
+                assert_eq!(driven.steps_run, 0);
+                assert_eq!(driven.state.unwrap().at(), at);
+            }
         }
     }
 
@@ -3533,6 +3325,13 @@ mod tests {
         let run_with_injection = || {
             let telem = Telemetry::disabled();
             let mut arena = EngineArena::new();
+            let mut advance = |state: EngineState, until: SimTime| {
+                let drive = Drive {
+                    until: Some(until),
+                    ..Drive::to_completion(&telem, &mut arena)
+                };
+                Engine::drive(state, &mut StaticSlotPolicy, drive).unwrap()
+            };
             let mut state = Engine::new(EngineConfig::small_test(4, 23))
                 .prepare(vec![JobSpec::new(
                     0,
@@ -3544,31 +3343,17 @@ mod tests {
                 .unwrap();
             state.override_policy("HadoopV1").unwrap();
             // advance a while, then inject a second job mid-run
-            let adv = Engine::advance_until_in(
-                state,
-                &mut StaticSlotPolicy,
-                SimTime::from_secs(15),
-                &telem,
-                &mut arena,
-            )
-            .unwrap();
-            let mut state = adv.state;
-            assert!(!adv.finished, "first job must still be running");
+            let adv = advance(state, SimTime::from_secs(15));
+            let mut state = adv.state.unwrap();
+            assert!(adv.report.is_none(), "first job must still be running");
             let id = state
                 .inject_job(JobProfile::synthetic_reduce_heavy(), 512.0, 4)
                 .unwrap();
             assert_eq!(id.0, 1);
             loop {
                 let target = state.at() + SimDuration::from_secs(20);
-                let adv = Engine::advance_until_in(
-                    state,
-                    &mut StaticSlotPolicy,
-                    target,
-                    &telem,
-                    &mut arena,
-                )
-                .unwrap();
-                state = adv.state;
+                let adv = advance(state, target);
+                state = adv.state.unwrap();
                 if let Some(report) = adv.report {
                     return (state.state_hash(), report);
                 }
@@ -3641,18 +3426,21 @@ mod tests {
                 .run(vec![job.clone()], &mut StaticSlotPolicy)
                 .unwrap();
             let every = SimDuration::from_secs(10);
-            let (checkpointed, snaps) = engine
-                .run_with_snapshots(vec![job], &mut StaticSlotPolicy, every)
-                .unwrap();
+            let captured = captured_run(&engine, job, every).unwrap();
+            let snaps = captured.snapshots;
             let json = |r: &RunReport| serde_json::to_string(r).unwrap();
             // capturing perturbs nothing
-            assert_eq!(json(&straight), json(&checkpointed), "fixed={fixed}");
+            assert_eq!(
+                json(&straight),
+                json(&captured.report.unwrap()),
+                "fixed={fixed}"
+            );
             assert!(snaps.len() >= 2, "fixed={fixed}: want multiple capsules");
             assert_eq!(snaps[0].at(), SimTime::ZERO);
             // restore from a mid-run capsule and run to the end
             let mid = snaps[snaps.len() / 2].clone();
             assert!(mid.at() > SimTime::ZERO);
-            let resumed = Engine::resume(mid, &mut StaticSlotPolicy).unwrap();
+            let resumed = resume(mid, &mut StaticSlotPolicy).unwrap();
             assert_eq!(json(&straight), json(&resumed), "fixed={fixed}");
         }
     }
@@ -3667,9 +3455,9 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        let (_, snaps) = Engine::new(cfg)
-            .run_with_snapshots(vec![job], &mut StaticSlotPolicy, SimDuration::from_secs(10))
-            .unwrap();
+        let snaps = captured_run(&Engine::new(cfg), job, SimDuration::from_secs(10))
+            .unwrap()
+            .snapshots;
         struct Other;
         impl SlotPolicy for Other {
             fn name(&self) -> &'static str {
@@ -3679,7 +3467,7 @@ mod tests {
                 Vec::new()
             }
         }
-        let err = Engine::resume(snaps[0].clone(), &mut Other).unwrap_err();
+        let err = resume(snaps[0].clone(), &mut Other).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
@@ -3693,13 +3481,7 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        let err = Engine::new(cfg)
-            .run_with_snapshots(
-                vec![job],
-                &mut StaticSlotPolicy,
-                SimDuration::from_millis(1500),
-            )
-            .unwrap_err();
+        let err = captured_run(&Engine::new(cfg), job, SimDuration::from_millis(1500)).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
@@ -3714,16 +3496,15 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        let engine = Engine::new(cfg);
-        let (straight, snaps) = engine
-            .run_with_snapshots(vec![job], &mut StaticSlotPolicy, SimDuration::from_secs(10))
-            .unwrap();
+        let captured = captured_run(&Engine::new(cfg), job, SimDuration::from_secs(10)).unwrap();
+        let snaps = captured.snapshots;
+        let straight = captured.report.unwrap();
         let mid = &snaps[snaps.len() / 2];
         // through the wire format and back
         let wire = serde_json::to_string(mid).unwrap();
         let back: EngineState = serde_json::from_str(&wire).unwrap();
         assert_eq!(back.at(), mid.at());
-        let resumed = Engine::resume(back, &mut StaticSlotPolicy).unwrap();
+        let resumed = resume(back, &mut StaticSlotPolicy).unwrap();
         assert_eq!(
             serde_json::to_string(&straight).unwrap(),
             serde_json::to_string(&resumed).unwrap()
@@ -3746,7 +3527,7 @@ mod tests {
             .unwrap();
         let mut warm = engine.prepare(vec![job]).unwrap();
         warm.override_policy("HadoopV1").unwrap();
-        let resumed = Engine::resume(warm, &mut StaticSlotPolicy).unwrap();
+        let resumed = resume(warm, &mut StaticSlotPolicy).unwrap();
         assert_eq!(
             serde_json::to_string(&straight).unwrap(),
             serde_json::to_string(&resumed).unwrap()
@@ -4353,8 +4134,11 @@ mod tests {
             8,
             SimTime::ZERO,
         );
+        let state = Engine::new(cfg.clone()).prepare(vec![job]).unwrap();
+        let scratch = EngineArena::new().checkout(cfg.cluster.workers);
         let mut policy = StaticSlotPolicy;
-        let mut sim = Sim::new(&cfg, vec![job], &mut policy, Telemetry::disabled()).unwrap();
+        let mut sim =
+            Sim::from_state_in(state, &mut policy, Telemetry::disabled(), scratch).unwrap();
         for _ in 0..cfg.blacklist_threshold {
             sim.charge_tracker_failure(NodeId(0));
         }

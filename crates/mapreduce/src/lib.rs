@@ -52,8 +52,8 @@ pub use arena::EngineArena;
 pub use auditor::{audit_phase_spans, phase_means, AuditSetup, PhaseBudget, PhaseMeans, Violation};
 pub use counters::{Counter, CounterLedger};
 pub use engine::{
-    fold_hash, initial_state_hash, Advanced, Engine, EngineConfig, EngineObservation, EngineState,
-    HashPoint, JobObservation, NodeObservation,
+    fold_hash, initial_state_hash, Drive, Driven, Engine, EngineConfig, EngineObservation,
+    EngineState, HashPoint, JobObservation, NodeObservation,
 };
 pub use events::{Event, EventLog};
 pub use job::{JobId, JobProfile, JobSpec};
@@ -64,3 +64,5 @@ pub use policy::{
 pub use report::{JobReport, RunReport};
 pub use scheduler::SchedKind;
 pub use stats::ClusterStats;
+/// The telemetry handle [`Drive`] threads into a run.
+pub use telemetry::Telemetry;

@@ -29,10 +29,10 @@
 //!   next tick) — and reclaims the previous frame's buffers through
 //!   `Arc::try_unwrap` into a free pool once the last reader drops it.
 //!
-//! Tenants are **capsules between ticks**: each advance resumes an
-//! [`mapreduce::EngineState`] via the checkpoint machinery, steps it to a
-//! bounded sim target ([`mapreduce::Engine::advance_until_in`]), and
-//! re-captures. Snapshot/restore through the ingress queue and the rolling
+//! Tenants are **capsules between ticks**: each advance drives an
+//! [`mapreduce::EngineState`] to a bounded sim target through the same
+//! [`mapreduce::Engine::drive`] every batch run uses (`Drive::until`), and
+//! keeps the re-captured state. Snapshot/restore through the ingress queue and the rolling
 //! per-step state hash come for free, and an advance never holds locks the
 //! egress side could contend on.
 

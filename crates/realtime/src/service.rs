@@ -14,7 +14,7 @@ use crate::egress::{FrameCell, FramePool, ObservationFrame, ObservationPool};
 use crate::ingress::{Command, Envelope, Reply, TenantId};
 use crate::script::{IngressScript, ScriptedCommand, TenantTrace, TickHash};
 use checkpoint::{capsule_file_name, CapsuleFormat, SimSnapshot};
-use mapreduce::{Engine, EngineArena, EngineConfig, EngineState, RunReport};
+use mapreduce::{Drive, Engine, EngineArena, EngineConfig, EngineState, RunReport};
 use simgrid::cluster::NodeId;
 use simgrid::fault::NodeFault;
 use simgrid::time::{SimDuration, SimTime};
@@ -232,13 +232,17 @@ impl TenantCore {
             self.error = Some(format!("unknown system label {:?}", self.system));
             return true;
         };
-        match Engine::advance_until_in(state, policy.as_mut(), target, telem, arena) {
-            Ok(adv) => {
-                self.finished = adv.finished;
-                if adv.finished {
-                    self.report = adv.report;
+        let drive = Drive {
+            until: Some(target),
+            ..Drive::to_completion(telem, arena)
+        };
+        match Engine::drive(state, policy.as_mut(), drive) {
+            Ok(driven) => {
+                self.finished = driven.report.is_some();
+                if self.finished {
+                    self.report = driven.report;
                 }
-                self.state = Some(adv.state);
+                self.state = driven.state;
             }
             Err(e) => {
                 self.error = Some(e.to_string());

@@ -4,12 +4,13 @@
 //! loopback sockets — the protocol logic itself is covered by the
 //! in-process service tests either way.
 
-use realtime::{RealtimeService, ServiceConfig};
+use realtime::{RealtimeService, ServiceConfig, ServiceHandle};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn can_bind_loopback() -> bool {
@@ -53,12 +54,9 @@ impl Client {
     }
 }
 
-#[test]
-fn ndjson_protocol_end_to_end() {
-    if !can_bind_loopback() {
-        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
-        return;
-    }
+/// Spawn a fast-ticking service and its NDJSON listener on an ephemeral
+/// loopback port.
+fn start_server() -> (ServiceHandle, JoinHandle<Result<(), String>>, SocketAddr) {
     let handle = RealtimeService::spawn(ServiceConfig {
         tick_interval: Duration::from_millis(2),
         dilation: 2000.0,
@@ -76,7 +74,45 @@ fn ndjson_protocol_end_to_end() {
     let addr = addr_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("server bound");
+    (handle, server, addr)
+}
 
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_a_stack_overflow() {
+    // the parser used to recurse once per bracket: a million of them
+    // overflowed the stack and aborted the whole process
+    for open in ["[", "{\"k\":"] {
+        let err = serde_json::parse_value(&open.repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_reply() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    let (handle, server, addr) = start_server();
+    let mut c = Client::connect(addr);
+    let bad = c.call(&"[".repeat(1_000_000));
+    assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
+    let error = bad.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(error.contains("recursion limit"), "{bad:?}");
+    // the connection and the service both survive the line
+    c.call_ok(r#"{"cmd":"stats"}"#);
+    c.call_ok(r#"{"cmd":"shutdown"}"#);
+    server.join().unwrap().expect("server exits cleanly");
+    handle.shutdown().expect("summary after wire shutdown");
+}
+
+#[test]
+fn ndjson_protocol_end_to_end() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    let (handle, server, addr) = start_server();
     let mut c = Client::connect(addr);
     // create 4 tenants across the system mix and submit jobs
     for (i, system) in ["HadoopV1", "YARN", "SMapReduce", "SMapReduce-hetero"]

@@ -91,8 +91,9 @@ impl SimRng {
             let j = i + self.below(n - i);
             idx.swap(i, j);
         }
-        idx.truncate(take);
-        idx
+        // copy the picks out rather than truncate: a truncated `idx` would
+        // keep its n-slot allocation alive in every DFS replica list
+        idx[..take].to_vec()
     }
 }
 

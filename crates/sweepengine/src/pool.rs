@@ -267,7 +267,7 @@ impl BatchedSweep {
 mod tests {
     use super::*;
     use mapreduce::policy::StaticSlotPolicy;
-    use mapreduce::{Engine, EngineConfig, JobProfile, JobSpec};
+    use mapreduce::{Drive, Engine, EngineConfig, JobProfile, JobSpec};
     use simgrid::SimTime;
 
     fn disabled() -> telemetry::Telemetry {
@@ -433,29 +433,28 @@ mod tests {
             state
         };
         let advance = |state: mapreduce::EngineState, arena: &mut EngineArena| {
-            Engine::advance_until_in(
-                state,
-                &mut StaticSlotPolicy,
-                SimTime::from_secs(30),
-                &disabled(),
-                arena,
-            )
-            .unwrap()
+            let telem = disabled();
+            let drive = Drive {
+                until: Some(SimTime::from_secs(30)),
+                ..Drive::to_completion(&telem, arena)
+            };
+            let driven = Engine::drive(state, &mut StaticSlotPolicy, drive).unwrap();
+            driven.state.expect("a bounded drive re-captures")
         };
         let mut pooled: Vec<Option<mapreduce::EngineState>> =
             vec![Some(prepare(1)), Some(prepare(2))];
         let mut arena = EngineArena::new();
         let hashes =
             BatchedSweep::with_workers(2).run_mut(&mut pooled, &mut arena, |_, slot, a| {
-                let out = advance(slot.take().unwrap(), a);
-                let h = out.state.state_hash();
-                *slot = Some(out.state);
+                let state = advance(slot.take().unwrap(), a);
+                let h = state.state_hash();
+                *slot = Some(state);
                 h
             });
         let mut inline_arena = EngineArena::new();
         for (i, seed) in [1u64, 2].iter().enumerate() {
-            let out = advance(prepare(*seed), &mut inline_arena);
-            assert_eq!(hashes[i], out.state.state_hash(), "tenant {i} diverged");
+            let state = advance(prepare(*seed), &mut inline_arena);
+            assert_eq!(hashes[i], state.state_hash(), "tenant {i} diverged");
         }
     }
 

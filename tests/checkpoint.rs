@@ -8,14 +8,32 @@ use checkpoint::{
     SimSnapshot,
 };
 use harness::dashboard::representative;
-use harness::runner::{resume_once, run_once_with_snapshots};
+use harness::runner::{drive_audited, prepare_warm};
 use harness::{Scale, System};
-use mapreduce::{EngineConfig, JobProfile, JobSpec};
+use mapreduce::{EngineArena, EngineConfig, EngineState, JobProfile, JobSpec, RunReport};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
+use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SimTime, SteppingMode};
 use simgrid::{FaultPlan, NodeFault};
 use std::path::PathBuf;
+
+/// An audited straight run of `jobs` under `system` capturing a capsule
+/// at every multiple of `every`: the final report and the capsules.
+fn captured_run(
+    cfg: &EngineConfig,
+    jobs: Vec<JobSpec>,
+    system: &System,
+    seed: u64,
+    every: SimDuration,
+) -> Result<(RunReport, Vec<EngineState>), SimError> {
+    let state = prepare_warm(cfg, jobs, seed)?;
+    let run = drive_audited(state, system, Some(every), false, &mut EngineArena::new())?;
+    Ok((
+        run.report.expect("an unbounded drive finishes"),
+        run.snapshots,
+    ))
+}
 
 /// Every target `reproduce fingerprint` accepts.
 const TARGETS: &[&str] = &[
@@ -107,7 +125,7 @@ proptest! {
             SimTime::ZERO,
         );
         for system in [System::HadoopV1, System::SMapReduce] {
-            let (straight, capsules) = run_once_with_snapshots(
+            let (straight, capsules) = captured_run(
                 &cfg,
                 vec![job.clone()],
                 &system,
@@ -117,7 +135,9 @@ proptest! {
             .expect("straight run");
             let state = capsules[pick % capsules.len()].clone();
             let from = state.at();
-            let resumed = resume_once(state, &system).expect("resumed run");
+            let resumed = drive_audited(state, &system, None, false, &mut EngineArena::new())
+                .expect("resumed run")
+                .into_report();
             assert_eq!(
                 serde_json::to_string(&straight).unwrap(),
                 serde_json::to_string(&resumed).unwrap(),
@@ -146,7 +166,7 @@ fn bisect_pinpoints_a_deliberately_corrupted_stream() {
         8,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
+    let (_, capsules) = captured_run(
         &cfg,
         vec![job],
         &System::SMapReduce,
@@ -254,7 +274,7 @@ fn bisect_pinpoints_corruption_across_mixed_formats() {
         8,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
+    let (_, capsules) = captured_run(
         &cfg,
         vec![job],
         &System::SMapReduce,

@@ -59,7 +59,7 @@ fn serialized_event_logs_and_reports_are_byte_identical() {
 fn telemetry_is_strictly_observational() {
     // an enabled telemetry sink must not perturb the simulation: the
     // serialized report of an instrumented run matches the plain run
-    use mapreduce::Engine;
+    use mapreduce::{Engine, EngineArena};
     let mut cfg = EngineConfig::small_test(4, 7);
     cfg.record_events = true;
     cfg.seed = 77;
@@ -68,7 +68,7 @@ fn telemetry_is_strictly_observational() {
     let mut p2 = smapreduce::SlotManagerPolicy::paper_default();
     let telem = telemetry::Telemetry::enabled();
     let traced = Engine::new(cfg)
-        .run_with(vec![job()], &mut p2, &telem)
+        .run_in(vec![job()], &mut p2, &telem, &mut EngineArena::new())
         .unwrap();
     assert!(
         telem.instant_count() > 0,

@@ -6,13 +6,33 @@
 //! reports, and the capsule envelope itself.
 
 use checkpoint::{codec, CapsuleFormat, SimSnapshot};
-use harness::runner::run_once_with_snapshots;
+use harness::runner::{drive_audited, prepare_warm};
 use harness::{run_once, System};
-use mapreduce::{Counter, CounterLedger, EngineConfig, JobProfile, JobSpec, RunReport};
+use mapreduce::{
+    Counter, CounterLedger, EngineArena, EngineConfig, EngineState, JobProfile, JobSpec, RunReport,
+};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
+use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
+
+/// An audited straight run of `jobs` under `system` capturing a capsule
+/// at every multiple of `every`: the final report and the capsules.
+fn captured_run(
+    cfg: &EngineConfig,
+    jobs: Vec<JobSpec>,
+    system: &System,
+    seed: u64,
+    every: SimDuration,
+) -> Result<(RunReport, Vec<EngineState>), SimError> {
+    let state = prepare_warm(cfg, jobs, seed)?;
+    let run = drive_audited(state, system, Some(every), false, &mut EngineArena::new())?;
+    Ok((
+        run.report.expect("an unbounded drive finishes"),
+        run.snapshots,
+    ))
+}
 
 proptest! {
     /// Any ledger built from arbitrary adds survives a JSON round trip
@@ -122,7 +142,7 @@ proptest! {
             4,
             SimTime::ZERO,
         );
-        let (_, capsules) = run_once_with_snapshots(
+        let (_, capsules) = captured_run(
             &cfg,
             vec![job],
             &System::SMapReduce,
@@ -224,7 +244,7 @@ fn corrupt_binary_capsules_never_panic() {
         4,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
+    let (_, capsules) = captured_run(
         &cfg,
         vec![job],
         &System::HadoopV1,
@@ -319,7 +339,7 @@ fn capsule_envelopes_round_trip_byte_identical() {
         6,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
+    let (_, capsules) = captured_run(
         &cfg,
         vec![job],
         &System::SMapReduce,

@@ -5,9 +5,9 @@
 //! makes the pool allocation-free must never leak one cell's state into
 //! the next cell run in the same slot.
 
-use harness::runner::{prepare_warm, run_once, run_once_in, run_warm};
+use harness::runner::{bind_warm, drive_audited, prepare_warm, run_once, run_once_in};
 use harness::{run_cells_with, CellRequest, System};
-use mapreduce::{EngineArena, EngineConfig, JobSpec};
+use mapreduce::{EngineArena, EngineConfig, EngineState, JobSpec, RunReport};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
@@ -17,6 +17,14 @@ use workloads::Puma;
 
 fn job(input_mb: f64) -> JobSpec {
     Puma::Grep.job(0, input_mb, 8, SimTime::ZERO)
+}
+
+/// One warm cell run sequentially, outside the pool.
+fn drive_warm(warm: &EngineState, cfg: &EngineConfig, sys: &System, seed: u64) -> RunReport {
+    let state = bind_warm(warm, cfg, sys, seed).unwrap();
+    drive_audited(state, sys, None, false, &mut EngineArena::new())
+        .unwrap()
+        .into_report()
 }
 
 /// A mixed grid: cold and warm cells, all three systems, two loads, and
@@ -99,8 +107,8 @@ fn pooled_reports_match_the_legacy_sequential_path() {
     for (i, sys) in System::all().into_iter().enumerate() {
         legacy.push(run_once(&cfg, vec![job(512.0)], &sys, i as u64 + 1).unwrap());
         legacy.push(run_once(&cfg, vec![job(1536.0)], &sys, i as u64 + 100).unwrap());
-        legacy.push(run_warm(&warm, &cfg, &sys, 9).unwrap());
-        legacy.push(run_warm(&warm, &faulted, &sys, 9).unwrap());
+        legacy.push(drive_warm(&warm, &cfg, &sys, 9));
+        legacy.push(drive_warm(&warm, &faulted, &sys, 9));
     }
     assert_eq!(pooled.len(), legacy.len());
     for (i, want) in legacy.iter().enumerate() {
