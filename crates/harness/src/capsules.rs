@@ -119,8 +119,9 @@ pub fn fingerprint_target(
                     ));
                 }
             }
-            // verified step-for-step, so the straight trace digest is the
-            // resumed run's digest too: both lines cmp equal
+            // with the hash trace on, the resume was verified step for step,
+            // so the straight trace digest is the resumed run's digest too:
+            // both lines cmp equal
             (resumed.into_report(), hash_trace.then_some(straight_trace))
         }
     };
