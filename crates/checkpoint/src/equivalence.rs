@@ -119,7 +119,7 @@ fn prove(
         Drive {
             snapshot_every: Some(every),
             trace_hashes: true,
-            ..Drive::to_completion(&telem, &mut arena)
+            ..Drive::new(&telem, &mut arena)
         },
     )?;
     let capsules = straight.snapshots;
@@ -143,7 +143,7 @@ fn prove(
         resumed_policy.as_mut(),
         Drive {
             trace_hashes: true,
-            ..Drive::to_completion(&telem, &mut arena)
+            ..Drive::new(&telem, &mut arena)
         },
     )?;
     let resumed_trace = resumed.hash_trace;

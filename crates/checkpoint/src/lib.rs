@@ -419,7 +419,7 @@ mod tests {
         let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
         let drive = Drive {
             snapshot_every: Some(SimDuration::from_secs(10)),
-            ..Drive::to_completion(&telem, &mut arena)
+            ..Drive::new(&telem, &mut arena)
         };
         let state = Engine::new(cfg).prepare(vec![job]).expect("boots");
         let run = Engine::drive(state, &mut StaticSlotPolicy, drive).expect("runs");

@@ -2932,8 +2932,10 @@ pub struct Drive<'a> {
 }
 
 impl<'a> Drive<'a> {
-    /// Run to completion, recording nothing beyond the report.
-    pub fn to_completion(telem: &'a Telemetry, arena: &'a mut EngineArena) -> Drive<'a> {
+    /// Run to completion, recording nothing beyond the report; callers
+    /// override `until`, `snapshot_every` or `trace_hashes` with struct
+    /// update syntax.
+    pub fn new(telem: &'a Telemetry, arena: &'a mut EngineArena) -> Drive<'a> {
         Drive {
             until: None,
             snapshot_every: None,
@@ -3139,7 +3141,7 @@ impl Engine {
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<RunReport, SimError> {
-        Engine::drive(state, policy, Drive::to_completion(telem, arena)).map(Driven::into_report)
+        Engine::drive(state, policy, Drive::new(telem, arena)).map(Driven::into_report)
     }
 }
 
@@ -3185,7 +3187,7 @@ mod tests {
         let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
         let drive = Drive {
             snapshot_every: Some(every),
-            ..Drive::to_completion(&telem, &mut arena)
+            ..Drive::new(&telem, &mut arena)
         };
         Engine::drive(engine.prepare(vec![job])?, &mut StaticSlotPolicy, drive)
     }
@@ -3230,7 +3232,7 @@ mod tests {
                 Drive {
                     snapshot_every: Some(every),
                     trace_hashes: true,
-                    ..Drive::to_completion(&telem, &mut arena)
+                    ..Drive::new(&telem, &mut arena)
                 },
             )
             .unwrap();
@@ -3309,7 +3311,7 @@ mod tests {
                     &mut StaticSlotPolicy,
                     Drive {
                         until: Some(at + SimDuration::from_secs(100)),
-                        ..Drive::to_completion(&telem, &mut arena)
+                        ..Drive::new(&telem, &mut arena)
                     },
                 )
                 .unwrap();
@@ -3328,7 +3330,7 @@ mod tests {
             let mut advance = |state: EngineState, until: SimTime| {
                 let drive = Drive {
                     until: Some(until),
-                    ..Drive::to_completion(&telem, &mut arena)
+                    ..Drive::new(&telem, &mut arena)
                 };
                 Engine::drive(state, &mut StaticSlotPolicy, drive).unwrap()
             };

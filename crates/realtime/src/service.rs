@@ -234,7 +234,7 @@ impl TenantCore {
         };
         let drive = Drive {
             until: Some(target),
-            ..Drive::to_completion(telem, arena)
+            ..Drive::new(telem, arena)
         };
         match Engine::drive(state, policy.as_mut(), drive) {
             Ok(driven) => {

@@ -436,7 +436,7 @@ mod tests {
             let telem = disabled();
             let drive = Drive {
                 until: Some(SimTime::from_secs(30)),
-                ..Drive::to_completion(&telem, arena)
+                ..Drive::new(&telem, arena)
             };
             let driven = Engine::drive(state, &mut StaticSlotPolicy, drive).unwrap();
             driven.state.expect("a bounded drive re-captures")
