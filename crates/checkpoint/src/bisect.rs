@@ -10,24 +10,23 @@
 //! instant in `O(log n)` comparisons, and a field-by-field diff of that
 //! capsule names the subsystem that forked first.
 //!
-//! Two refinements on top of the plain search:
+//! Paired capsules are compared byte for byte: every capsule is written
+//! by one deterministic encoder, so byte inequality is value inequality.
+//! A JSON capsule paired with a binary one (only a stream recorded while
+//! JSON capsules were still written can produce such a pair) is a
+//! [`CapsuleError::MixedEncodings`] error, not a divergence.
 //!
-//! * **mixed formats** — when a pair's files share an encoding they are
-//!   compared byte-for-byte (both encoders are deterministic); a
-//!   JSON-vs-binary pair is compared through its decoded value trees
-//!   (ignoring the envelope's `format_version`, which is metadata about
-//!   the writer, not the run);
-//! * **hash traces** — [`bisect_hash_traces`] scans the two runs'
-//!   per-step hash traces first (one u64 comparison per step, no capsule
-//!   I/O at all) and then parses only the single capsule pair at the
-//!   divergent instant.
+//! [`bisect_hash_traces`] is the cheaper route: it scans the two runs'
+//! per-step hash traces first (one u64 comparison per step, no capsule
+//! I/O at all) and then parses only the single capsule pair at the
+//! divergent instant.
 //!
 //! The binary search verifies its answer (the found capsule differs, its
 //! predecessor does not), so even on a non-monotone stream — e.g. one
 //! corrupted file in an otherwise identical pair — the result is still a
 //! genuine *locally first* divergence.
 
-use crate::{codec, list_capsules, read_hash_trace, CapsuleError, HASH_TRACE_FILE};
+use crate::{list_capsules, load, read_hash_trace, CapsuleError, HASH_TRACE_FILE};
 use simgrid::time::SimTime;
 use std::path::{Path, PathBuf};
 
@@ -59,22 +58,11 @@ pub struct Divergence {
     pub diffs: Vec<FieldDiff>,
 }
 
-/// Parse one capsule file (either encoding, sniffed) into its JSON value
-/// tree, dropping the top-level `format_version` so that a JSON stream
-/// and a binary re-recording of the same run compare equal.
+/// Decode one capsule file through the crate's one decode path into the
+/// value tree the field diff walks.
 fn capsule_value(path: &Path) -> Result<serde_json::Value, CapsuleError> {
-    let bytes = std::fs::read(path).map_err(|e| CapsuleError::Io(path.to_path_buf(), e))?;
-    let malformed = |why: String| CapsuleError::Malformed(path.to_path_buf(), why);
-    let mut value = if bytes.first() == Some(&codec::MAGIC[0]) {
-        codec::from_binary(&bytes).map_err(malformed)?
-    } else {
-        let text = std::str::from_utf8(&bytes).map_err(|e| malformed(e.to_string()))?;
-        serde_json::parse_value(text).map_err(|e| malformed(e.to_string()))?
-    };
-    if let serde_json::Value::Object(fields) = &mut value {
-        fields.retain(|(k, _)| k != "format_version");
-    }
-    Ok(value)
+    serde_json::to_value(&load(path)?)
+        .map_err(|e| CapsuleError::Malformed(path.to_path_buf(), e.to_string()))
 }
 
 /// Bisect two capsule streams to their first divergent checkpoint.
@@ -90,34 +78,25 @@ pub fn bisect_dirs(dir_a: &Path, dir_b: &Path) -> Result<Option<Divergence>, Cap
         return Err(CapsuleError::EmptyStream(dir_b.to_path_buf()));
     }
     let common = list_a.len().min(list_b.len());
-    for i in 0..common {
-        if list_a[i].0 != list_b[i].0 {
+    for (i, ((at_a, path_a), (at_b, path_b))) in list_a.iter().zip(&list_b).enumerate() {
+        if at_a != at_b {
             return Err(CapsuleError::Malformed(
                 dir_b.to_path_buf(),
                 format!(
                     "streams were captured on different grids: pair {i} is {} ms vs {} ms \
                      (same --checkpoint-every required)",
-                    list_a[i].0.as_millis(),
-                    list_b[i].0.as_millis()
+                    at_a.as_millis(),
+                    at_b.as_millis()
                 ),
             ));
         }
+        if path_a.extension() != path_b.extension() {
+            return Err(CapsuleError::MixedEncodings(path_a.clone(), path_b.clone()));
+        }
     }
     let differs = |i: usize| -> Result<bool, CapsuleError> {
-        let (pa, pb) = (&list_a[i].1, &list_b[i].1);
-        if pa.extension() == pb.extension() {
-            // same encoding: both encoders are deterministic, so byte
-            // inequality is value inequality
-            let read = |p: &PathBuf| std::fs::read(p).map_err(|e| CapsuleError::Io(p.clone(), e));
-            Ok(read(pa)? != read(pb)?)
-        } else {
-            // mixed JSON/binary pair: compare the decoded value trees
-            let canon = |p: &PathBuf| -> Result<String, CapsuleError> {
-                serde_json::to_string(&capsule_value(p)?)
-                    .map_err(|e| CapsuleError::Malformed(p.clone(), e.to_string()))
-            };
-            Ok(canon(pa)? != canon(pb)?)
-        }
+        let read = |p: &PathBuf| std::fs::read(p).map_err(|e| CapsuleError::Io(p.clone(), e));
+        Ok(read(&list_a[i].1)? != read(&list_b[i].1)?)
     };
 
     if !differs(common - 1)? {
@@ -380,9 +359,12 @@ fn render(v: &serde_json::Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CapsuleFormat;
-    use mapreduce::HashPoint;
+    use crate::{capsule_file_name, codec, write_stream};
+    use mapreduce::policy::StaticSlotPolicy;
+    use mapreduce::Telemetry;
+    use mapreduce::{Drive, Engine, EngineArena, EngineConfig, HashPoint, JobProfile, JobSpec};
     use serde_json::Value;
+    use simgrid::time::SimDuration;
 
     fn obj(fields: Vec<(&str, Value)>) -> Value {
         Value::Object(
@@ -393,8 +375,45 @@ mod tests {
         )
     }
 
-    fn json_name(secs: u64) -> String {
-        crate::capsule_file_name(SimTime::from_secs(secs), CapsuleFormat::Json)
+    fn fresh_dirs(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+        let base = std::env::temp_dir().join(format!("smr-bisect-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
+        std::fs::create_dir_all(&dir_a).unwrap();
+        std::fs::create_dir_all(&dir_b).unwrap();
+        (base, dir_a, dir_b)
+    }
+
+    /// Record one small run into both `dir_a` and `dir_b`, then bump the
+    /// step counter of every `dir_b` capsule from index `from` on — the
+    /// way a silently divergent replay would. Returns the capture instants.
+    fn diverging_streams(dir_a: &Path, dir_b: &Path, from: usize) -> Vec<SimTime> {
+        let cfg = EngineConfig::small_test(4, 5);
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_map_heavy(),
+            2048.0,
+            8,
+            SimTime::ZERO,
+        );
+        let (telem, mut arena) = (Telemetry::disabled(), EngineArena::new());
+        let drive = Drive {
+            snapshot_every: Some(SimDuration::from_secs(5)),
+            ..Drive::new(&telem, &mut arena)
+        };
+        let state = Engine::new(cfg).prepare(vec![job]).expect("boots");
+        let run = Engine::drive(state, &mut StaticSlotPolicy, drive).expect("runs");
+        write_stream(dir_a, &run.snapshots).expect("write a");
+        let paths = write_stream(dir_b, &run.snapshots).expect("write b");
+        for path in &paths[from..] {
+            let mut v = codec::from_binary(&std::fs::read(path).unwrap()).expect("decodes");
+            let mut state = v.get("state").unwrap().clone();
+            let steps = state.get("steps").unwrap().as_u64().unwrap();
+            state.set("steps", Value::U64(steps + 100));
+            v.set("state", state);
+            std::fs::write(path, codec::to_binary(&v)).unwrap();
+        }
+        run.snapshots.iter().map(|s| s.at()).collect()
     }
 
     #[test]
@@ -445,101 +464,33 @@ mod tests {
 
     #[test]
     fn bisect_finds_the_first_divergent_pair() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-        // eight paired capsules, diverging from index 5 onwards
-        for i in 0..8u64 {
-            let name = json_name(i * 10);
-            let a = format!("{{\"at\":{},\"x\":{}}}", i * 10_000, i);
-            let b = if i >= 5 {
-                format!("{{\"at\":{},\"x\":{}}}", i * 10_000, i + 100)
-            } else {
-                a.clone()
-            };
-            std::fs::write(dir_a.join(&name), a).unwrap();
-            std::fs::write(dir_b.join(&name), b).unwrap();
-        }
+        let (base, dir_a, dir_b) = fresh_dirs("first");
+        let instants = diverging_streams(&dir_a, &dir_b, 3);
+        assert!(instants.len() >= 5, "{} capsules", instants.len());
         let div = bisect_dirs(&dir_a, &dir_b)
             .expect("bisect runs")
             .expect("streams diverge");
-        assert_eq!(div.index, 5);
-        assert_eq!(div.at, SimTime::from_secs(50));
+        assert_eq!(div.index, 3);
+        assert_eq!(div.at, instants[3]);
         assert!(!div.stream_truncated);
-        assert_eq!(div.diffs.len(), 1);
-        assert_eq!(div.diffs[0].path, "x");
-        assert_eq!(div.diffs[0].a, "5");
-        assert_eq!(div.diffs[0].b, "105");
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn mixed_format_pairs_compare_by_value_not_bytes() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-mixed-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-        // stream A: JSON capsules; stream B: the same values re-encoded
-        // as binary — genuinely diverging from pair 2 onwards
-        for i in 0..4u64 {
-            let a_val = obj(vec![
-                ("format_version", Value::U64(1)),
-                ("at", Value::U64(i * 10_000)),
-                ("x", Value::U64(i)),
-            ]);
-            let b_x = if i >= 2 { i + 97 } else { i };
-            let b_val = obj(vec![
-                // a different envelope version must NOT count as a
-                // divergence — it is writer metadata, not run state
-                ("format_version", Value::U64(2)),
-                ("at", Value::U64(i * 10_000)),
-                ("x", Value::U64(b_x)),
-            ]);
-            std::fs::write(
-                dir_a.join(json_name(i * 10)),
-                serde_json::to_string(&a_val).unwrap(),
-            )
-            .unwrap();
-            std::fs::write(
-                dir_b.join(crate::capsule_file_name(
-                    SimTime::from_secs(i * 10),
-                    CapsuleFormat::Binary,
-                )),
-                codec::to_binary(&b_val),
-            )
-            .unwrap();
-        }
-        let div = bisect_dirs(&dir_a, &dir_b)
-            .expect("bisect runs")
-            .expect("pair 2 diverges");
-        assert_eq!(div.index, 2);
         assert_eq!(div.diffs.len(), 1, "{:?}", div.diffs);
-        assert_eq!(div.diffs[0].path, "x");
-        assert_eq!(div.diffs[0].a, "2");
-        assert_eq!(div.diffs[0].b, "99");
-        assert_eq!(div.path_a.extension().unwrap(), "json");
-        assert_eq!(div.path_b.extension().unwrap(), "bin");
+        assert_eq!(div.diffs[0].path, "state.steps");
+        let steps: u64 = div.diffs[0].a.parse().unwrap();
+        assert_eq!(div.diffs[0].b, (steps + 100).to_string());
         let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
     fn identical_streams_bisect_to_none() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-eq-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
+        let (base, dir_a, dir_b) = fresh_dirs("eq");
+        let name = |i: u64| capsule_file_name(SimTime::from_secs(i));
         for i in 0..4u64 {
-            let name = json_name(i);
-            std::fs::write(dir_a.join(&name), format!("{{\"x\":{i}}}")).unwrap();
-            std::fs::write(dir_b.join(&name), format!("{{\"x\":{i}}}")).unwrap();
+            std::fs::write(dir_a.join(name(i)), [i as u8]).unwrap();
+            std::fs::write(dir_b.join(name(i)), [i as u8]).unwrap();
         }
         assert!(bisect_dirs(&dir_a, &dir_b).expect("runs").is_none());
         // a truncated (but otherwise identical) stream diverges at the cut
-        std::fs::remove_file(dir_b.join(json_name(3))).unwrap();
+        std::fs::remove_file(dir_b.join(name(3))).unwrap();
         let div = bisect_dirs(&dir_a, &dir_b)
             .expect("runs")
             .expect("length mismatch is a divergence");
@@ -547,7 +498,7 @@ mod tests {
         assert!(div.stream_truncated);
         // the longer stream's first unmatched capsule is a real file; the
         // truncated side is represented by its directory
-        assert_eq!(div.path_a, dir_a.join(json_name(3)));
+        assert_eq!(div.path_a, dir_a.join(name(3)));
         assert_eq!(div.path_b, dir_b);
         assert_eq!(div.diffs[0].path, "(stream length)");
         let _ = std::fs::remove_dir_all(&base);
@@ -555,11 +506,14 @@ mod tests {
 
     #[test]
     fn hash_trace_bisect_parses_only_the_divergent_pair() {
-        let base = std::env::temp_dir().join(format!("smr-trace-bisect-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
+        let (base, dir_a, dir_b) = fresh_dirs("trace");
+        let instants = diverging_streams(&dir_a, &dir_b, 0);
+        // the first capsule at or after 15 s, and the one before it
+        let hit = instants
+            .iter()
+            .position(|t| *t >= SimTime::from_secs(15))
+            .expect("capsule past 15 s");
+        assert!(hit > 0, "need a capsule before the divergence");
         let mk = |hashes: &[u64]| -> Vec<HashPoint> {
             hashes
                 .iter()
@@ -573,22 +527,22 @@ mod tests {
         };
         crate::write_hash_trace(&dir_a, &mk(&[10, 20, 30, 40, 50])).unwrap();
         crate::write_hash_trace(&dir_b, &mk(&[10, 20, 31, 41, 51])).unwrap();
-        // capsules only exist at 10 s and 20 s; step 3 diverges at 15 s,
-        // so the pair at 20 s is the one that gets parsed. A deliberately
-        // corrupt capsule at 10 s proves nothing earlier is read.
-        std::fs::write(dir_a.join(json_name(10)), "{corrupt").unwrap();
-        std::fs::write(dir_b.join(json_name(10)), "{corrupt").unwrap();
-        std::fs::write(dir_a.join(json_name(20)), "{\"x\":1}").unwrap();
-        std::fs::write(dir_b.join(json_name(20)), "{\"x\":2}").unwrap();
+        // step 3 diverges at 15 s, so the pair at `hit` is the one that
+        // gets parsed. A deliberately corrupt capsule pair just before it
+        // proves nothing earlier is read.
+        for dir in [&dir_a, &dir_b] {
+            let before = dir.join(capsule_file_name(instants[hit - 1]));
+            std::fs::write(before, "SMRBcorrupt").unwrap();
+        }
         let div = bisect_hash_traces(&dir_a, &dir_b)
             .expect("runs")
             .expect("traces diverge");
         assert_eq!(div.step, 3);
         assert_eq!(div.at, SimTime::from_millis(15_000));
         assert_eq!((div.hash_a, div.hash_b), (30, 31));
-        let pair = div.capsule_diff.expect("capsule pair at 20 s");
-        assert_eq!(pair.at, SimTime::from_secs(20));
-        assert_eq!(pair.diffs[0].path, "x");
+        let pair = div.capsule_diff.expect("capsule pair past 15 s");
+        assert_eq!((pair.index, pair.at), (hit, instants[hit]));
+        assert_eq!(pair.diffs[0].path, "state.steps");
         // identical traces bisect to none without touching any capsule
         crate::write_hash_trace(&dir_b, &mk(&[10, 20, 30, 40, 50])).unwrap();
         assert!(bisect_hash_traces(&dir_a, &dir_b).expect("runs").is_none());

@@ -14,15 +14,15 @@
 //!   checkpoint and diff it field by field — or, cheaper, scan two hash
 //!   traces and parse only the one divergent capsule pair.
 //!
-//! Capsules come in two encodings behind the same versioned envelope:
-//! **JSON** (`capsule-<millis>.json`, the format-v1 wire form, still
-//! written on request and always readable) and **binary**
-//! (`capsule-<millis>.bin`, the [`codec`] module's pooled + LZ-compressed
-//! encoding — several times smaller and faster, the default for new
-//! sweeps). [`load`] sniffs the encoding from the first byte (`{` opens a
-//! JSON capsule, `S` opens the binary `SMRB` magic), so a *capsule
-//! stream* — a directory of capsule files written by [`write_stream_as`]
-//! and enumerated by [`list_capsules`] — may freely mix both.
+//! Capsules are written in one encoding: the [`codec`] module's pooled +
+//! LZ-compressed binary form (`capsule-<millis>.bin`). JSON capsules —
+//! the format-v1 wire form, and every stream recorded before binary
+//! became the only write format — stay readable: [`from_bytes`] is the
+//! one decode path, and it alone sniffs the encoding from the first byte
+//! (`{` opens a JSON capsule, `S` opens the binary `SMRB` magic). A
+//! *capsule stream* is a directory of capsule files written by
+//! [`write_stream`] and enumerated by [`list_capsules`]; [`dump`] prints
+//! any capsule as compact JSON for humans.
 //!
 //! All writes are crash-safe: bytes land in a temp file in the target
 //! directory and are atomically renamed into place, so a killed run
@@ -60,46 +60,16 @@ pub const MIN_FORMAT_VERSION: u32 = 1;
 /// stream: one `<step> <at_ms> <hash>` line per engine step.
 pub const HASH_TRACE_FILE: &str = "hash-trace.txt";
 
-/// The two on-disk capsule encodings.
+/// The two capsule encoders [`to_bytes`] can run. Capsule files are
+/// always written [`CapsuleFormat::Binary`]; [`CapsuleFormat::Json`] is
+/// the human view ([`dump`]) and the size baseline capsule-bench
+/// measures against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapsuleFormat {
     /// Compact JSON text — the v1 wire form; human-greppable.
     Json,
     /// Pooled, LZ-compressed binary (`SMRB` envelope, see [`codec`]).
     Binary,
-}
-
-impl CapsuleFormat {
-    /// Parse a `--capsule-format` operand.
-    pub fn parse(s: &str) -> Option<CapsuleFormat> {
-        match s {
-            "json" => Some(CapsuleFormat::Json),
-            "bin" | "binary" => Some(CapsuleFormat::Binary),
-            _ => None,
-        }
-    }
-
-    pub fn extension(self) -> &'static str {
-        match self {
-            CapsuleFormat::Json => "json",
-            CapsuleFormat::Binary => "bin",
-        }
-    }
-
-    /// Infer the format a path's extension asks for.
-    pub fn of_path(path: &Path) -> Option<CapsuleFormat> {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Some(CapsuleFormat::Json),
-            Some("bin") => Some(CapsuleFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for CapsuleFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.extension())
-    }
 }
 
 /// A complete simulation state frozen at one simulated instant, plus the
@@ -156,6 +126,10 @@ pub enum CapsuleError {
         found: u32,
     },
     EmptyStream(PathBuf),
+    /// A JSON capsule paired with a binary one in a bisection: only a
+    /// stream recorded while JSON was still written can produce it, and
+    /// its bytes can never equal a binary capsule's.
+    MixedEncodings(PathBuf, PathBuf),
     /// Two states in one stream share a capture instant: they would land
     /// on the same file name, silently shortening the stream on disk.
     DuplicateInstant {
@@ -180,6 +154,13 @@ impl fmt::Display for CapsuleError {
             CapsuleError::EmptyStream(p) => {
                 write!(f, "{}: no capsule-*.{{json,bin}} files", p.display())
             }
+            CapsuleError::MixedEncodings(a, b) => write!(
+                f,
+                "{} and {}: a JSON and a binary capsule cannot be compared byte for byte; \
+                 re-record the JSON stream",
+                a.display(),
+                b.display()
+            ),
             CapsuleError::DuplicateInstant { dir, at } => write!(
                 f,
                 "{}: two capsules captured at the same instant ({} ms)",
@@ -206,7 +187,8 @@ pub fn to_bytes(snap: &SimSnapshot, format: CapsuleFormat) -> Vec<u8> {
 
 /// Parse capsule wire bytes, sniffing the encoding from the first byte:
 /// a JSON capsule opens with `{`, a binary capsule with the `SMRB` magic.
-/// `origin` is only used in error messages.
+/// This is the crate's one decode path — [`load`], [`dump`] and the
+/// bisector all read through it. `origin` is only used in error messages.
 pub fn from_bytes(origin: &Path, bytes: &[u8]) -> Result<SimSnapshot, CapsuleError> {
     let malformed = |why: String| CapsuleError::Malformed(origin.to_path_buf(), why);
     let snap: SimSnapshot = if bytes.first() == Some(&codec::MAGIC[0]) {
@@ -220,18 +202,22 @@ pub fn from_bytes(origin: &Path, bytes: &[u8]) -> Result<SimSnapshot, CapsuleErr
     Ok(snap)
 }
 
-/// Write one capsule, in the encoding the path's extension names
-/// (`.bin` → binary, anything else → JSON). Crash-safe: bytes go to a
+/// Write one capsule in the binary encoding. Crash-safe: bytes go to a
 /// temp file in the same directory, atomically renamed into place.
 pub fn save(path: &Path, snap: &SimSnapshot) -> Result<(), CapsuleError> {
-    let format = CapsuleFormat::of_path(path).unwrap_or(CapsuleFormat::Json);
-    write_atomic(path, &to_bytes(snap, format))
+    write_atomic(path, &to_bytes(snap, CapsuleFormat::Binary))
 }
 
 /// Read and validate one capsule (either encoding, sniffed).
 pub fn load(path: &Path) -> Result<SimSnapshot, CapsuleError> {
     let bytes = std::fs::read(path).map_err(|e| CapsuleError::Io(path.to_path_buf(), e))?;
     from_bytes(path, &bytes)
+}
+
+/// Any capsule (either encoding, any supported version) re-encoded as
+/// compact JSON: the text a JSON capsule of the same snapshot holds.
+pub fn dump(path: &Path) -> Result<Vec<u8>, CapsuleError> {
+    Ok(to_bytes(&load(path)?, CapsuleFormat::Json))
 }
 
 /// Atomically replace `path` with `bytes`: write a uniquely-named temp
@@ -265,13 +251,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CapsuleError> {
 /// order is chronological order. The v2 name scheme pads to 15 digits —
 /// enough for every representable instant below ~31,688 simulated years
 /// (the v1 scheme's 12 digits broke the invariant past 10^12 ms).
-pub fn capsule_file_name(at: SimTime, format: CapsuleFormat) -> String {
-    format!("capsule-{:015}.{}", at.as_millis(), format.extension())
-}
-
-/// [`write_stream_as`] in the JSON encoding.
-pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, CapsuleError> {
-    write_stream_as(dir, states, CapsuleFormat::Json)
+pub fn capsule_file_name(at: SimTime) -> String {
+    format!("capsule-{:015}.bin", at.as_millis())
 }
 
 /// Write a run's captured states into `dir` as a capsule stream. Creates
@@ -279,11 +260,7 @@ pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, 
 /// States sharing a capture instant are a [`CapsuleError::DuplicateInstant`]
 /// — they would collapse onto one file name and desynchronize the
 /// on-disk stream length from the run report.
-pub fn write_stream_as(
-    dir: &Path,
-    states: &[EngineState],
-    format: CapsuleFormat,
-) -> Result<Vec<PathBuf>, CapsuleError> {
+pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, CapsuleError> {
     std::fs::create_dir_all(dir).map_err(|e| CapsuleError::Io(dir.to_path_buf(), e))?;
     let mut instants: Vec<SimTime> = states.iter().map(|s| s.at()).collect();
     instants.sort();
@@ -295,7 +272,7 @@ pub fn write_stream_as(
     }
     let mut paths = Vec::with_capacity(states.len());
     for state in states {
-        let path = dir.join(capsule_file_name(state.at(), format));
+        let path = dir.join(capsule_file_name(state.at()));
         save(&path, &SimSnapshot::new(state.clone()))?;
         paths.push(path);
     }
@@ -429,52 +406,47 @@ mod tests {
     #[test]
     fn file_names_sort_chronologically() {
         assert_eq!(
-            capsule_file_name(SimTime::ZERO, CapsuleFormat::Json),
-            "capsule-000000000000000.json"
-        );
-        assert_eq!(
-            capsule_file_name(SimTime::ZERO, CapsuleFormat::Binary),
+            capsule_file_name(SimTime::ZERO),
             "capsule-000000000000000.bin"
         );
-        let a = capsule_file_name(SimTime::from_secs(9), CapsuleFormat::Json);
-        let b = capsule_file_name(SimTime::from_secs(100), CapsuleFormat::Json);
+        let a = capsule_file_name(SimTime::from_secs(9));
+        let b = capsule_file_name(SimTime::from_secs(100));
         assert!(a < b, "{a} should sort before {b}");
         // the v1 12-digit pad broke lexicographic order past 10^12 ms;
         // 15 digits cover every instant below ~31,688 simulated years
-        let big = capsule_file_name(SimTime::from_millis(10u64.pow(12)), CapsuleFormat::Json);
+        let big = capsule_file_name(SimTime::from_millis(10u64.pow(12)));
         assert!(b < big, "{b} should sort before {big}");
     }
 
     #[test]
-    fn stream_round_trips_through_disk_in_both_formats() {
+    fn stream_round_trips_through_disk() {
         let (_, states) = small_stream();
         assert!(states.len() >= 2, "expected several capsules");
-        for format in [CapsuleFormat::Json, CapsuleFormat::Binary] {
-            let dir = tmp_dir(&format!("roundtrip-{format}"));
-            let paths = write_stream_as(&dir, &states, format).expect("write");
-            assert_eq!(paths.len(), states.len());
-            let listed = list_capsules(&dir).expect("list");
-            assert_eq!(listed.len(), states.len());
-            for ((at, path), state) in listed.iter().zip(&states) {
-                assert_eq!(*at, state.at());
-                let snap = load(path).expect("load");
-                assert_eq!(snap.at, state.at());
-                assert_eq!(
-                    serde_json::to_string(&snap.state).unwrap(),
-                    serde_json::to_string(state).unwrap(),
-                    "capsule at {} ms changed through disk ({format})",
-                    at.as_millis()
-                );
-            }
-            // crash-safe writes leave no temp droppings behind
-            let stray = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
-                .count();
-            assert_eq!(stray, 0, "temp files left in the stream directory");
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_dir("roundtrip");
+        let paths = write_stream(&dir, &states).expect("write");
+        assert_eq!(paths.len(), states.len());
+        let listed = list_capsules(&dir).expect("list");
+        assert_eq!(listed.len(), states.len());
+        for ((at, path), state) in listed.iter().zip(&states) {
+            assert_eq!(*at, state.at());
+            assert_eq!(path.extension().unwrap(), "bin");
+            let snap = load(path).expect("load");
+            assert_eq!(snap.at, state.at());
+            assert_eq!(
+                serde_json::to_string(&snap.state).unwrap(),
+                serde_json::to_string(state).unwrap(),
+                "capsule at {} ms changed through disk",
+                at.as_millis()
+            );
         }
+        // crash-safe writes leave no temp droppings behind
+        let stray = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .count();
+        assert_eq!(stray, 0, "temp files left in the stream directory");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -496,10 +468,14 @@ mod tests {
     #[test]
     fn loaded_capsule_resumes_to_the_straight_result() {
         let (straight, states) = small_stream();
-        for format in [CapsuleFormat::Json, CapsuleFormat::Binary] {
-            let dir = tmp_dir(&format!("resume-{format}"));
-            let paths = write_stream_as(&dir, &states, format).expect("write");
-            let snap = load(&paths[paths.len() / 2]).expect("load");
+        let dir = tmp_dir("resume");
+        let paths = write_stream(&dir, &states).expect("write");
+        // a JSON capsule of the same instant (as streams recorded before
+        // binary became the only write format hold) resumes alike
+        let json = dir.join("legacy.json");
+        std::fs::write(&json, dump(&paths[paths.len() / 2]).expect("dump")).unwrap();
+        for path in [&paths[paths.len() / 2], &json] {
+            let snap = load(path).expect("load");
             let resumed = Engine::resume_in(
                 snap.state,
                 &mut StaticSlotPolicy,
@@ -510,10 +486,11 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&straight).unwrap(),
                 serde_json::to_string(&resumed).unwrap(),
-                "resume from a {format} disk capsule diverged"
+                "resume from {} diverged",
+                path.display()
             );
-            let _ = std::fs::remove_dir_all(&dir);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -534,7 +511,7 @@ mod tests {
         let (_, states) = small_stream();
         let dir = tmp_dir("version");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(capsule_file_name(states[0].at(), CapsuleFormat::Json));
+        let path = dir.join("capsule-000000000000000.json");
         let mut snap = SimSnapshot::new(states[0].clone());
         snap.format_version = FORMAT_VERSION + 1;
         let json = serde_json::to_string(&snap).unwrap();

@@ -31,7 +31,6 @@
 //! (per-node task Gantt, slot occupancy, utilization timelines, decision
 //! markers, counters, auditor verdict).
 
-use checkpoint::CapsuleFormat;
 use harness::scale::Scale;
 use harness::{
     ablation, bench_all, capsule_bench, capsules, engine_bench, ext_fair, ext_faults, ext_hetero,
@@ -45,7 +44,8 @@ use std::process::ExitCode;
 struct Args {
     target: String,
     /// Extra positional operands: the target for `fingerprint`, the
-    /// capsule file for `resume`, the two stream directories for `bisect`.
+    /// capsule file for `resume` and `dump`, the two stream directories
+    /// for `bisect`.
     operands: Vec<String>,
     scale: Scale,
     out: PathBuf,
@@ -54,7 +54,6 @@ struct Args {
     engine: Option<SteppingMode>,
     checkpoint_every: Option<SimDuration>,
     capsule_dir: Option<PathBuf>,
-    capsule_format: CapsuleFormat,
     via: capsules::Via,
     hash_trace: bool,
     /// `serve`: wall-clock tick interval (ms).
@@ -72,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
     let mut engine = None;
     let mut checkpoint_every = None;
     let mut capsule_dir = None;
-    let mut capsule_format = CapsuleFormat::Json;
     let mut via = capsules::Via::Straight;
     let mut hash_trace = false;
     let mut tick_ms = 20u64;
@@ -122,11 +120,6 @@ fn parse_args() -> Result<Args, String> {
             "--via" => {
                 via = capsules::Via::parse(&it.next().ok_or("--via needs straight|resume")?)?;
             }
-            "--capsule-format" => {
-                let s = it.next().ok_or("--capsule-format needs json|bin")?;
-                capsule_format = CapsuleFormat::parse(&s)
-                    .ok_or_else(|| format!("--capsule-format must be json|bin, got {s}"))?;
-            }
             "--hash-trace" => hash_trace = true,
             "--tick-ms" => {
                 tick_ms = it
@@ -160,7 +153,7 @@ fn parse_args() -> Result<Args, String> {
     let operands: Vec<String> = positionals.collect();
     let takes_operands = matches!(
         target.as_str(),
-        "fingerprint" | "resume" | "bisect" | "serve"
+        "fingerprint" | "resume" | "dump" | "bisect" | "serve"
     );
     if !takes_operands && !operands.is_empty() {
         return Err(format!("unexpected argument: {}\n{USAGE}", operands[0]));
@@ -175,7 +168,6 @@ fn parse_args() -> Result<Args, String> {
         engine,
         checkpoint_every,
         capsule_dir,
-        capsule_format,
         via,
         hash_trace,
         tick_ms,
@@ -184,9 +176,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FILE] [--dashboard DIR] [--engine fixed|adaptive]
-       reproduce <target> --checkpoint-every SECS --capsule-dir DIR [--capsule-format json|bin]   # record the target's representative run as a capsule stream + hash trace
-       reproduce fingerprint <target> [--via straight|resume] [--capsule-dir DIR] [--capsule-format json|bin] [--hash-trace]   # print the representative run's auditor fingerprint (+ per-step hash digest)
-       reproduce resume CAPSULE.{json,bin}                            # resume a capsule to completion
+       reproduce <target> --checkpoint-every SECS --capsule-dir DIR   # record the target's representative run as a capsule stream + hash trace
+       reproduce fingerprint <target> [--via straight|resume] [--capsule-dir DIR] [--hash-trace]   # print the representative run's auditor fingerprint (+ per-step hash digest)
+       reproduce resume CAPSULE                                       # resume a capsule to completion
+       reproduce dump CAPSULE                                         # print a capsule as compact JSON
        reproduce bisect DIR_A DIR_B [--hash-trace]                    # first divergent checkpoint (or hash-trace step) of two streams (exit 1 if diverged)
        reproduce serve [ADDR] [--tick-ms MS] [--dilation X]           # realtime NDJSON service (default 127.0.0.1:7700)
        reproduce --help                                               # full target list with descriptions";
@@ -278,7 +271,6 @@ fn run_fingerprint(args: &Args, scale: Scale) -> ExitCode {
         scale,
         args.via,
         args.capsule_dir.as_deref(),
-        args.capsule_format,
         args.hash_trace,
     ) {
         Ok(line) => {
@@ -300,14 +292,13 @@ fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
     if let Err(msg) = check_capsule_target(&args.target) {
         return fail(&msg);
     }
-    match capsules::record_target(&args.target, scale, every, dir, args.capsule_format) {
+    match capsules::record_target(&args.target, scale, every, dir) {
         Ok(rec) => {
             println!(
-                "[wrote {} {} capsules (every {:.0}s of a {:.1}s run) and a \
+                "[wrote {} capsules (every {:.0}s of a {:.1}s run) and a \
                  {}-step hash trace to {}]\n\
                  fingerprint {:#018x}",
                 rec.capsules,
-                args.capsule_format,
                 rec.every_s,
                 rec.makespan_s,
                 rec.hash_points,
@@ -320,7 +311,7 @@ fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
     }
 }
 
-/// `reproduce resume CAPSULE.json`.
+/// `reproduce resume CAPSULE`.
 fn run_resume(args: &Args) -> ExitCode {
     let Some(path) = args.operands.first() else {
         return fail(&format!("resume needs a capsule file\n{USAGE}"));
@@ -331,6 +322,23 @@ fn run_resume(args: &Args) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(msg) => fail(&msg),
+    }
+}
+
+/// `reproduce dump CAPSULE` — the capsule as compact JSON on stdout:
+/// byte for byte what a JSON capsule of the same snapshot holds.
+fn run_dump(args: &Args) -> ExitCode {
+    use std::io::Write;
+    let Some(path) = args.operands.first() else {
+        return fail(&format!("dump needs a capsule file\n{USAGE}"));
+    };
+    let json = match checkpoint::dump(Path::new(path)) {
+        Ok(json) => json,
+        Err(e) => return fail(&e.to_string()),
+    };
+    match std::io::stdout().write_all(&json) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(&format!("writing stdout: {e}")),
     }
 }
 
@@ -455,6 +463,7 @@ fn main() -> ExitCode {
     match args.target.as_str() {
         "fingerprint" => return run_fingerprint(&args, scale),
         "resume" => return run_resume(&args),
+        "dump" => return run_dump(&args),
         "bisect" => return run_bisect(&args),
         "serve" => return run_serve(&args),
         "bench-all" => return run_bench_all(&args),

@@ -13,14 +13,14 @@
 //!   hashes against the straight run's — a divergence is pinned to the
 //!   exact step it first happened rather than discovered at the end.
 //! * **recorded** ([`record_target`]) — run once with `--checkpoint-every`
-//!   capture, writing the capsule stream (JSON or binary) plus the
-//!   per-step hash trace into `--capsule-dir` for later
-//!   `reproduce resume` / `reproduce bisect`.
+//!   capture, writing the capsule stream plus the per-step hash trace
+//!   into `--capsule-dir` for later `reproduce resume` / `reproduce
+//!   bisect` / `reproduce dump`.
 
 use crate::dashboard;
 use crate::runner::{self, System};
 use crate::scale::Scale;
-use checkpoint::{CapsuleFormat, SimSnapshot};
+use checkpoint::SimSnapshot;
 use mapreduce::{auditor, EngineArena};
 use simgrid::time::SimDuration;
 use std::path::{Path, PathBuf};
@@ -59,14 +59,13 @@ fn fingerprint_every() -> SimDuration {
 /// outright, naming the first divergent step.
 ///
 /// With `capsule_dir` set, the resume path writes the full capsule
-/// stream there in `format` (the straight path writes nothing) — on a
+/// stream there (the straight path writes nothing) — on a
 /// gate failure that stream is the artifact to bisect.
 pub fn fingerprint_target(
     target: &str,
     scale: Scale,
     via: Via,
     capsule_dir: Option<&Path>,
-    format: CapsuleFormat,
     hash_trace: bool,
 ) -> Result<String, String> {
     let (mut cfg, jobs, system, _) =
@@ -96,7 +95,7 @@ pub fn fingerprint_target(
                 ));
             }
             if let Some(dir) = capsule_dir {
-                checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
+                checkpoint::write_stream(dir, &capsules).map_err(|e| e.to_string())?;
                 checkpoint::write_hash_trace(dir, &straight_trace).map_err(|e| e.to_string())?;
             }
             let mid = capsules[capsules.len() / 2].clone();
@@ -154,14 +153,12 @@ pub struct RecordOutcome {
 }
 
 /// Run a target's representative configuration with capsule capture every
-/// `every`, writing the stream (in `format`) and the per-step hash trace
-/// into `dir`.
+/// `every`, writing the stream and the per-step hash trace into `dir`.
 pub fn record_target(
     target: &str,
     scale: Scale,
     every: SimDuration,
     dir: &Path,
-    format: CapsuleFormat,
 ) -> Result<RecordOutcome, String> {
     let (mut cfg, jobs, system, _) =
         dashboard::representative(target, scale).map_err(|e| e.to_string())?;
@@ -173,7 +170,7 @@ pub fn record_target(
             .map_err(|e| e.to_string())?;
     let (capsules, trace) = (recorded.snapshots, recorded.hash_trace);
     let report = recorded.report.expect("an unbounded drive finishes");
-    let paths = checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
+    let paths = checkpoint::write_stream(dir, &capsules).map_err(|e| e.to_string())?;
     checkpoint::write_hash_trace(dir, &trace).map_err(|e| e.to_string())?;
     Ok(RecordOutcome {
         dir: dir.to_path_buf(),
@@ -287,25 +284,11 @@ mod tests {
 
     #[test]
     fn straight_and_resume_fingerprints_agree() {
-        let a = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Straight,
-            None,
-            CapsuleFormat::Json,
-            false,
-        )
-        .expect("straight");
+        let a =
+            fingerprint_target("fig1", Scale::Quick, Via::Straight, None, false).expect("straight");
         let dir = tmp("fp");
-        let b = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Resume,
-            Some(&dir),
-            CapsuleFormat::Json,
-            false,
-        )
-        .expect("resume");
+        let b = fingerprint_target("fig1", Scale::Quick, Via::Resume, Some(&dir), false)
+            .expect("resume");
         assert_eq!(a, b, "replay fingerprint diverged from straight run");
         assert!(
             !checkpoint::list_capsules(&dir).expect("list").is_empty(),
@@ -316,26 +299,12 @@ mod tests {
 
     #[test]
     fn hash_traced_fingerprints_agree_per_step() {
-        let a = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Straight,
-            None,
-            CapsuleFormat::Binary,
-            true,
-        )
-        .expect("straight");
+        let a =
+            fingerprint_target("fig1", Scale::Quick, Via::Straight, None, true).expect("straight");
         assert!(a.contains("hash-trace"), "digest line missing: {a}");
         let dir = tmp("fp-hash");
-        let b = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Resume,
-            Some(&dir),
-            CapsuleFormat::Binary,
-            true,
-        )
-        .expect("resume verified every post-resume step");
+        let b = fingerprint_target("fig1", Scale::Quick, Via::Resume, Some(&dir), true)
+            .expect("resume verified every post-resume step");
         assert_eq!(a, b, "hash-trace output diverged between vias");
         assert!(
             dir.join(checkpoint::HASH_TRACE_FILE).exists(),
@@ -349,30 +318,13 @@ mod tests {
         let dir_a = tmp("rec-a");
         let dir_b = tmp("rec-b");
         let every = SimDuration::from_secs(30);
-        // one stream JSON, the other binary: same run, and both the
-        // mixed-format bisect and the hash-trace bisect must see through
-        // the encoding difference
-        let ra = record_target(
-            "ext-faults",
-            Scale::Quick,
-            every,
-            &dir_a,
-            CapsuleFormat::Json,
-        )
-        .expect("record a");
-        let rb = record_target(
-            "ext-faults",
-            Scale::Quick,
-            every,
-            &dir_b,
-            CapsuleFormat::Binary,
-        )
-        .expect("record b");
+        let ra = record_target("ext-faults", Scale::Quick, every, &dir_a).expect("record a");
+        let rb = record_target("ext-faults", Scale::Quick, every, &dir_b).expect("record b");
         assert_eq!(ra.fingerprint, rb.fingerprint, "recording is deterministic");
         assert!(ra.capsules >= 2, "{} capsules", ra.capsules);
         assert_eq!(ra.hash_points, rb.hash_points);
         assert!(ra.hash_points > 0, "hash trace recorded");
-        // identical reruns bisect to no divergence, whatever the encoding
+        // identical reruns bisect to no divergence
         let div = checkpoint::bisect_dirs(&dir_a, &dir_b).expect("bisect");
         assert!(div.is_none(), "{}", render_divergence(&div));
         let tdiv = checkpoint::bisect_hash_traces(&dir_a, &dir_b).expect("trace bisect");

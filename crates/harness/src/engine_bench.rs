@@ -35,9 +35,8 @@ pub struct EngineBench {
     pub speedup: f64,
 }
 
-/// Input size per job (MB): the same 2 GB miniature the `substrate`
-/// criterion bench uses for its end-to-end engine measurement, so this
-/// comparison and that bench describe the same workload.
+/// Input size per job (MB): a 2 GB miniature, big enough to cross the
+/// reduce slow-start and exercise the whole pipeline in a short run.
 const INPUT_MB: f64 = 2.0 * 1024.0;
 
 /// The workload both modes run: one map-heavy and one reduce-heavy PUMA

@@ -86,11 +86,8 @@ pub const TARGETS: &[Target] = &[
         "<target>",
         "print a target's representative-run auditor fingerprint",
     ),
-    sub(
-        "resume",
-        "<CAPSULE.{json,bin}>",
-        "resume a capsule to completion",
-    ),
+    sub("resume", "<CAPSULE>", "resume a capsule to completion"),
+    sub("dump", "<CAPSULE>", "print a capsule as compact JSON"),
     sub(
         "bisect",
         "<DIR_A> <DIR_B>",

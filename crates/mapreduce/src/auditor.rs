@@ -18,7 +18,7 @@
 //! (not failed) on reports without an event log.
 
 use crate::counters::{Counter, CounterLedger};
-use crate::engine::EngineConfig;
+use crate::engine::{fnv1a, EngineConfig, FNV_OFFSET};
 use crate::events::Event;
 use crate::report::RunReport;
 use std::fmt;
@@ -83,22 +83,12 @@ impl fmt::Display for Violation {
 /// same fingerprint — the "counters byte-identical across reruns"
 /// determinism invariant, cheap enough to assert anywhere.
 pub fn fingerprint(report: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for (_, v) in report.counters.iter() {
-        eat(v.to_bits());
-    }
-    for j in &report.jobs {
-        for (_, v) in j.counters.iter() {
-            eat(v.to_bits());
-        }
-    }
-    h
+    let job_counters = report.jobs.iter().flat_map(|j| j.counters.iter());
+    report
+        .counters
+        .iter()
+        .chain(job_counters)
+        .fold(FNV_OFFSET, |h, (_, v)| fnv1a(h, &v.to_bits().to_le_bytes()))
 }
 
 /// Per-step wall-clock budgets (µs) for the engine's hot phases. The

@@ -538,7 +538,21 @@ pub fn fold_hash(h: u64, w: u64) -> u64 {
 /// folded with the run's seed, so two runs that differ only in seed
 /// already differ at step zero.
 pub fn initial_state_hash(seed: u64) -> u64 {
-    fold_hash(0xcbf2_9ce4_8422_2325, seed)
+    fold_hash(FNV_OFFSET, seed)
+}
+
+/// The FNV-1a offset basis: the [`fnv1a`] digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a digest `h` (start from [`FNV_OFFSET`]).
+/// The one byte-string identity hash: capsule fingerprints, the prefix
+/// cache's key and the auditor's counter fingerprint all run on it.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for byte in bytes {
+        h ^= *byte as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// One entry of a run's **hash trace**: the rolling state digest as it
@@ -2675,39 +2689,11 @@ impl EngineState {
         Ok(())
     }
 
-    /// The capsule's canonical JSON encoding — the exact byte string
-    /// [`EngineState::fingerprint`] hashes. The prefix cache keeps it
-    /// alongside each resident capsule and compares it in full on every
-    /// fingerprint hit, so a 64-bit collision can never silently alias
-    /// two distinct prefixes.
-    pub fn canonical_json(&self) -> String {
-        serde_json::to_string(self).expect("capsule serialises")
-    }
-
-    /// FNV-1a over a [`EngineState::canonical_json`] encoding.
-    pub fn fingerprint_of(canonical: &str) -> u64 {
-        Self::fingerprint_of_bytes(canonical.as_bytes())
-    }
-
-    /// FNV-1a over any serialized capsule encoding — the prefix cache
-    /// interns by the packed binary encoding, which is several times
-    /// shorter than canonical JSON and so several times cheaper to hash
-    /// and to confirm on a fingerprint hit.
-    pub fn fingerprint_of_bytes(encoding: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for byte in encoding {
-            h ^= *byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
-    /// FNV-1a hash of the capsule's canonical JSON encoding — a cheap
-    /// content identity for deduplicating shared warm-start prefixes:
-    /// sweep cells whose capsules fingerprint alike resume from one
-    /// in-memory capsule instead of re-preparing per cell.
+    /// FNV-1a hash of the capsule's compact JSON encoding — a content
+    /// identity for telling two captured states apart.
     pub fn fingerprint(&self) -> u64 {
-        Self::fingerprint_of(&self.canonical_json())
+        let json = serde_json::to_string(self).expect("capsule serialises");
+        fnv1a(FNV_OFFSET, json.as_bytes())
     }
 
     /// Submit a new job into the captured run at its capture instant.

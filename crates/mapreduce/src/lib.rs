@@ -52,8 +52,8 @@ pub use arena::EngineArena;
 pub use auditor::{audit_phase_spans, phase_means, AuditSetup, PhaseBudget, PhaseMeans, Violation};
 pub use counters::{Counter, CounterLedger};
 pub use engine::{
-    fold_hash, initial_state_hash, Drive, Driven, Engine, EngineConfig, EngineObservation,
-    EngineState, HashPoint, JobObservation, NodeObservation,
+    fnv1a, fold_hash, initial_state_hash, Drive, Driven, Engine, EngineConfig, EngineObservation,
+    EngineState, HashPoint, JobObservation, NodeObservation, FNV_OFFSET,
 };
 pub use events::{Event, EventLog};
 pub use job::{JobId, JobProfile, JobSpec};

@@ -13,7 +13,7 @@
 use crate::egress::{FrameCell, FramePool, ObservationFrame, ObservationPool};
 use crate::ingress::{Command, Envelope, Reply, TenantId};
 use crate::script::{IngressScript, ScriptedCommand, TenantTrace, TickHash};
-use checkpoint::{capsule_file_name, CapsuleFormat, SimSnapshot};
+use checkpoint::{capsule_file_name, SimSnapshot};
 use mapreduce::{Drive, Engine, EngineArena, EngineConfig, EngineState, RunReport};
 use simgrid::cluster::NodeId;
 use simgrid::fault::NodeFault;
@@ -193,7 +193,7 @@ impl TenantCore {
         })
     }
 
-    /// Write the current capsule under `dir` (binary encoding). Replay
+    /// Write the current capsule under `dir`. Replay
     /// treats snapshots as no-ops — they never mutate tenant state.
     pub(crate) fn snapshot(&self, id: TenantId, dir: &Path) -> Result<Reply, String> {
         let state = self
@@ -201,11 +201,7 @@ impl TenantCore {
             .as_ref()
             .ok_or_else(|| format!("tenant {id} has no running cluster yet"))?;
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let file = format!(
-            "tenant{:04}-{}",
-            id,
-            capsule_file_name(state.at(), CapsuleFormat::Binary)
-        );
+        let file = format!("tenant{:04}-{}", id, capsule_file_name(state.at()));
         let path = dir.join(file);
         checkpoint::save(&path, &SimSnapshot::new(state.clone())).map_err(|e| e.to_string())?;
         Ok(Reply::Snapshotted {

@@ -18,15 +18,23 @@
 //! Mutating commands go through the ingress queue (the caller blocks
 //! until the tick boundary applies them); `observe`/`stats`/`tenants`
 //! read the egress pool directly and never touch the tick thread.
+//!
+//! A request line longer than [`MAX_LINE_BYTES`] gets one `too_large`
+//! error reply and the connection is closed, so no client can grow a
+//! connection's buffer without bound.
 
 use crate::ingress::{Command, Reply, TenantId};
 use crate::service::ServiceHandle;
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Longest request line (newline included) a connection reads.
+/// Commands are a few hundred bytes at most.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serve `handle` on `addr` (e.g. `"127.0.0.1:7700"`) until a client
 /// sends `shutdown` or `stop` is raised. Returns the bound address (port
@@ -43,6 +51,8 @@ pub fn serve(
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Acquire) {
+        // hold handles only for live connections
+        workers.retain(|w| !w.is_finished());
         match listener.accept() {
             Ok((stream, _)) => {
                 let handle = handle.clone();
@@ -72,25 +82,42 @@ fn serve_connection(stream: TcpStream, handle: ServiceHandle, stop: Arc<AtomicBo
     };
     let mut reader = BufReader::new(peer);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // connection closed
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break, // connection closed
             Ok(_) => {}
-            Err(_) => break,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match serde_json::parse_value(&line) {
-            Ok(req) => dispatch(&req, &handle, &stop),
-            Err(e) => err(format!("bad request: {e}")),
+        let too_large = line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let response = if too_large {
+            err(format!(
+                "too_large: request line exceeds {MAX_LINE_BYTES} bytes"
+            ))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => match serde_json::parse_value(text) {
+                    Ok(req) => dispatch(&req, &handle, &stop),
+                    Err(e) => err(format!("bad request: {e}")),
+                },
+                Err(e) => err(format!("bad request: {e}")),
+            }
         };
         let mut out = serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"encode: {e}\"}}"));
         out.push('\n');
         if writer.write_all(out.as_bytes()).is_err() {
+            break;
+        }
+        if too_large {
+            // the rest of the line is never read: send the reply ahead of
+            // the close so it is not lost to the reset the unread bytes
+            // provoke
+            let _ = writer.shutdown(Shutdown::Write);
             break;
         }
         if stop.load(Ordering::Acquire) {

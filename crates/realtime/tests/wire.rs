@@ -107,6 +107,39 @@ fn deeply_nested_request_gets_an_error_reply() {
 }
 
 #[test]
+fn overlong_request_line_gets_one_error_reply_then_close() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    let (handle, server, addr) = start_server();
+    let mut c = Client::connect(addr);
+    // 4 MiB with no newline: the server stops reading at its line cap,
+    // so the write may fail once the socket buffers fill — send it from
+    // its own thread and ignore the outcome
+    let mut flood = c.writer.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 4 << 20]);
+    });
+    let mut line = String::new();
+    c.reader.read_line(&mut line).expect("error reply");
+    let reply = serde_json::parse_value(&line).expect("parse reply");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    let error = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(error.starts_with("too_large"), "{reply:?}");
+    // then the server closes that connection
+    line.clear();
+    assert!(matches!(c.reader.read_line(&mut line), Ok(0) | Err(_)));
+    sender.join().unwrap();
+    // a fresh connection is served as usual
+    let mut fresh = Client::connect(addr);
+    fresh.call_ok(r#"{"cmd":"stats"}"#);
+    fresh.call_ok(r#"{"cmd":"shutdown"}"#);
+    server.join().unwrap().expect("server exits cleanly");
+    handle.shutdown().expect("summary after wire shutdown");
+}
+
+#[test]
 fn ndjson_protocol_end_to_end() {
     if !can_bind_loopback() {
         eprintln!("skipping: cannot bind 127.0.0.1 in this environment");

@@ -604,7 +604,7 @@ mod tests {
         assert!(r[&FlowId(2)] > 0.0);
     }
 
-    /// The max-min criterion: every flow is either capped by its own
+    /// The max-min fairness condition: every flow is either capped by its own
     /// demand, or crosses at least one *saturated* port on which no other
     /// flow holds a strictly larger rate (so its rate cannot be raised
     /// without lowering an equal-or-smaller flow).
@@ -651,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn max_min_criterion_on_fixed_topology() {
+    fn max_min_fairness_on_fixed_topology() {
         let f = fabric();
         let flows = flows_of(&[
             (1, 0, 3, f64::INFINITY),

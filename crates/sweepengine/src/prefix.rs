@@ -3,16 +3,13 @@
 //! Sweep cells that share a prefix — same cluster, seed, and job set, but
 //! a different fault plan, policy, or knob bound at resume time — can all
 //! warm-start from one `Engine::prepare` capsule (cluster booted, DFS
-//! layouts materialised, t = 0). The cache keys capsules by their content
-//! fingerprint ([`EngineState::fingerprint`]): however many grid axes
-//! independently prepare "the same" prefix, exactly one capsule stays
-//! resident and every cell resumes a clone of it.
-//!
-//! Capsules are interned by their packed *binary* encoding
-//! ([`checkpoint::state_encoding`]) rather than canonical JSON — the same
-//! deterministic value-tree walk, at roughly a third of the bytes held
-//! resident per capsule and without JSON float formatting on the hot
-//! sweep path.
+//! layouts materialised, t = 0). The cache keys capsules by an FNV-1a
+//! fingerprint ([`mapreduce::fnv1a`]) of their packed *binary* encoding
+//! ([`checkpoint::state_encoding`]): however many grid axes independently
+//! prepare "the same" prefix, exactly one capsule stays resident and every
+//! cell resumes a clone of it. The packed encoding is roughly a third of
+//! the bytes of JSON and needs no float formatting on the hot sweep path
+//! (so this key is not [`EngineState::fingerprint`], which hashes JSON).
 //!
 //! The 64-bit fingerprint is a key, not a proof of identity: every hit is
 //! confirmed by comparing the full encoding the fingerprint was
@@ -26,12 +23,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One interned capsule plus the canonical encoding that identifies it.
+/// One interned capsule plus the packed encoding that identifies it.
 #[derive(Debug)]
 struct Resident {
     /// Packed binary encoding the fingerprint was computed from, compared
     /// in full on every fingerprint hit.
-    canonical: Vec<u8>,
+    encoding: Vec<u8>,
     capsule: Arc<EngineState>,
 }
 
@@ -50,15 +47,15 @@ impl PrefixCache {
     }
 
     /// Deduplicate `state` against the cache: if a capsule with the same
-    /// fingerprint *and* the same canonical encoding is already resident,
+    /// fingerprint *and* the same packed encoding is already resident,
     /// drop `state` and return the resident one (counting a hit);
     /// otherwise `state` becomes resident. A fingerprint hit whose
-    /// canonical encoding differs is a collision: the states stay
+    /// packed encoding differs is a collision: the states stay
     /// distinct and [`PrefixCache::fingerprint_collisions`] is bumped.
     pub fn intern(&self, state: EngineState) -> Arc<EngineState> {
-        let canonical = checkpoint::state_encoding(&state);
-        let fingerprint = EngineState::fingerprint_of_bytes(&canonical);
-        self.intern_keyed(fingerprint, canonical, state)
+        let encoding = checkpoint::state_encoding(&state);
+        let fingerprint = mapreduce::fnv1a(mapreduce::FNV_OFFSET, &encoding);
+        self.intern_keyed(fingerprint, encoding, state)
     }
 
     /// [`PrefixCache::intern`] with the fingerprint supplied by the
@@ -66,12 +63,12 @@ impl PrefixCache {
     fn intern_keyed(
         &self,
         fingerprint: u64,
-        canonical: Vec<u8>,
+        encoding: Vec<u8>,
         state: EngineState,
     ) -> Arc<EngineState> {
         let mut map = self.by_fingerprint.lock().expect("prefix cache");
         let bucket = map.entry(fingerprint).or_default();
-        if let Some(resident) = bucket.iter().find(|r| r.canonical == canonical) {
+        if let Some(resident) = bucket.iter().find(|r| r.encoding == encoding) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(&resident.capsule);
         }
@@ -80,7 +77,7 @@ impl PrefixCache {
         }
         let capsule = Arc::new(state);
         bucket.push(Resident {
-            canonical,
+            encoding,
             capsule: Arc::clone(&capsule),
         });
         capsule
@@ -101,7 +98,7 @@ impl PrefixCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Fingerprint hits whose canonical encodings differed — distinct
+    /// Fingerprint hits whose packed encodings differed — distinct
     /// prefixes that would have been silently aliased by a
     /// fingerprint-only cache.
     pub fn fingerprint_collisions(&self) -> u64 {

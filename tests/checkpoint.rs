@@ -1,11 +1,11 @@
 //! Checkpoint & replay guarantees at the workspace level: resume
 //! equivalence for every figure's representative run, snapshot/restore at
-//! random instants of random-fault-plan runs, and divergence bisection on
-//! a deliberately corrupted capsule stream.
+//! random instants of random-fault-plan runs, divergence bisection on a
+//! deliberately corrupted capsule stream, and the JSON dump of capsules.
 
 use checkpoint::{
-    bisect_dirs, codec, prove_resume_equivalence, prove_resume_equivalence_full, CapsuleFormat,
-    SimSnapshot,
+    bisect_dirs, codec, prove_resume_equivalence, prove_resume_equivalence_full, CapsuleError,
+    CapsuleFormat, SimSnapshot,
 };
 use harness::dashboard::representative;
 use harness::runner::{drive_audited, prepare_warm};
@@ -185,13 +185,13 @@ fn bisect_pinpoints_a_deliberately_corrupted_stream() {
     let k = capsules.len() / 2;
     for path in &good_files[k..] {
         let bad_path = bad.join(path.file_name().unwrap());
-        let text = std::fs::read_to_string(&bad_path).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let bytes = std::fs::read(&bad_path).unwrap();
+        let mut v = codec::from_binary(&bytes).expect("own capsule decodes");
         let mut state = v.get("state").unwrap().clone();
         let steps = state.get("steps").unwrap().as_u64().unwrap();
         state.set("steps", serde_json::Value::U64(steps + 7));
         v.set("state", state);
-        std::fs::write(&bad_path, serde_json::to_string(&v).unwrap()).unwrap();
+        std::fs::write(&bad_path, codec::to_binary(&v)).unwrap();
     }
 
     let div = bisect_dirs(&good, &bad)
@@ -261,16 +261,16 @@ fn hash_trace_agrees_with_full_report_comparison() {
     }
 }
 
-/// Bisection works across mixed encodings: the good stream on disk as
-/// JSON, the bad stream as binary capsules corrupted from index `k`
-/// onward, and `bisect_dirs` still pins pair `k` and names the field.
+/// A stream recorded while JSON capsules were still written cannot be
+/// bisected byte for byte against a binary one: the JSON-vs-binary pair
+/// is an error naming both files, never a reported divergence.
 #[test]
-fn bisect_pinpoints_corruption_across_mixed_formats() {
+fn bisect_rejects_a_json_vs_binary_pair() {
     let cfg = EngineConfig::small_test(4, 13);
     let job = JobSpec::new(
         0,
         JobProfile::synthetic_map_heavy(),
-        2048.0,
+        1024.0,
         8,
         SimTime::ZERO,
     );
@@ -279,42 +279,77 @@ fn bisect_pinpoints_corruption_across_mixed_formats() {
         vec![job],
         &System::SMapReduce,
         cfg.seed,
-        SimDuration::from_secs(5),
+        SimDuration::from_secs(10),
     )
     .expect("recorded run");
-    assert!(capsules.len() >= 4, "need a few checkpoints to bisect");
-    let good = tmp_dir("mixed-good");
-    let bad = tmp_dir("mixed-bad");
-    checkpoint::write_stream_as(&good, &capsules, CapsuleFormat::Json).expect("write good");
-    let bad_files =
-        checkpoint::write_stream_as(&bad, &capsules, CapsuleFormat::Binary).expect("write bad");
-
-    let k = capsules.len() / 2;
-    for path in &bad_files[k..] {
-        let bytes = std::fs::read(path).unwrap();
-        let mut v = codec::from_binary(&bytes).expect("own capsule decodes");
-        let mut state = v.get("state").unwrap().clone();
-        let steps = state.get("steps").unwrap().as_u64().unwrap();
-        state.set("steps", serde_json::Value::U64(steps + 7));
-        v.set("state", state);
-        std::fs::write(path, codec::to_binary(&v)).unwrap();
+    let legacy = tmp_dir("mixed-json");
+    let binary = tmp_dir("mixed-bin");
+    let bin_files = checkpoint::write_stream(&binary, &capsules).expect("write binary");
+    std::fs::create_dir_all(&legacy).unwrap();
+    for path in &bin_files {
+        let json = checkpoint::dump(path).expect("dump");
+        let name = path.with_extension("json");
+        std::fs::write(legacy.join(name.file_name().unwrap()), json).unwrap();
     }
+    match bisect_dirs(&legacy, &binary) {
+        Err(CapsuleError::MixedEncodings(a, b)) => {
+            assert_eq!(a.extension().unwrap(), "json");
+            assert_eq!(b, bin_files[0]);
+        }
+        other => panic!("expected a mixed-encodings error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&legacy);
+    let _ = std::fs::remove_dir_all(&binary);
+}
 
-    let div = bisect_dirs(&good, &bad)
-        .expect("bisect runs")
-        .expect("corruption must be found");
-    assert_eq!(div.index, k, "first divergent checkpoint");
-    assert_eq!(div.at, capsules[k].at());
-    assert!(!div.stream_truncated);
-    assert!(
-        div.diffs.iter().any(|d| d.path == "state.steps"),
-        "diff must name the corrupted field, got {:?}",
-        div.diffs,
+/// `dump` is the human view of a capsule: for every capsule of a recorded
+/// stream it prints exactly the JSON encoding of the snapshot, and the
+/// committed v1 fixtures dump to JSON that loads back to the same state.
+#[test]
+fn dump_prints_every_capsule_as_its_json_encoding() {
+    let cfg = EngineConfig::small_test(4, 17);
+    let job = JobSpec::new(
+        0,
+        JobProfile::synthetic_reduce_heavy(),
+        1024.0,
+        6,
+        SimTime::ZERO,
     );
-    // the paths prove the comparison really crossed encodings
-    assert_eq!(div.path_a.extension().unwrap(), "json");
-    assert_eq!(div.path_b.extension().unwrap(), "bin");
+    let (_, capsules) = captured_run(
+        &cfg,
+        vec![job],
+        &System::SMapReduce,
+        cfg.seed,
+        SimDuration::from_secs(10),
+    )
+    .expect("recorded run");
+    let dir = tmp_dir("dump");
+    let files = checkpoint::write_stream(&dir, &capsules).expect("write stream");
+    for (path, state) in files.iter().zip(&capsules) {
+        let snap = SimSnapshot::new(state.clone());
+        assert_eq!(
+            checkpoint::dump(path).expect("dump"),
+            checkpoint::to_bytes(&snap, CapsuleFormat::Json),
+            "{}",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let _ = std::fs::remove_dir_all(&good);
-    let _ = std::fs::remove_dir_all(&bad);
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for name in [
+        "capsule_pr6_fig1_t60.json",
+        "capsule_pr6_ext_faults_t60.json",
+    ] {
+        let path = fixtures.join(name);
+        let json = checkpoint::dump(&path).expect("v1 fixture dumps");
+        let back = checkpoint::from_bytes(&path, &json).expect("dump loads back");
+        let loaded = checkpoint::load(&path).expect("fixture loads");
+        assert_eq!(back.format_version, 1, "{name}: dump kept the v1 envelope");
+        assert_eq!(
+            serde_json::to_string(&back.state).unwrap(),
+            serde_json::to_string(&loaded.state).unwrap(),
+            "{name}: dump changed the state"
+        );
+    }
 }
